@@ -1,4 +1,4 @@
-//! Criterion micro-benchmarks of the engineering-critical kernels:
+//! Micro-benchmarks of the engineering-critical kernels:
 //! motif-induced adjacency (Table II pipeline), Motif-based PageRank,
 //! hypergraph convolution forward/backward, and the sparse kernels they
 //! are built from. These quantify the design choices DESIGN.md calls out
@@ -9,6 +9,7 @@
 //! bit-for-bit, emitted both as a markdown table and as machine-readable
 //! `BENCH {json}` lines.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use ahntp_bench::{print_row, Dataset, Scale};
@@ -19,7 +20,9 @@ use ahntp_nn::{AdaptiveHypergraphConv, HypergraphConv, Module, Session, TrustArt
 use ahntp_serve::TrustIndex;
 use ahntp_tensor::{xavier_uniform, CsrMatrix};
 use ahntp_telemetry::json::Json;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+
+/// Timed calls per kernel in the timing table.
+const SAMPLES: usize = 10;
 
 fn setup() -> (TrustDataset, Hypergraph) {
     let ds = TrustDataset::generate(&DatasetConfig::ciao_like(300, 9));
@@ -29,87 +32,85 @@ fn setup() -> (TrustDataset, Hypergraph) {
     (ds, h)
 }
 
-fn bench_motif_adjacency(c: &mut Criterion) {
+fn bench_motif_adjacency() {
     let (ds, _) = setup();
-    let mut group = c.benchmark_group("motif_adjacency");
     for motif in [Motif::M1, Motif::M4, Motif::M6] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(motif),
-            &motif,
-            |b, &motif| b.iter(|| motif_adjacency(&ds.graph, motif)),
-        );
+        row("motif_adjacency", &motif.to_string(), || {
+            motif_adjacency(&ds.graph, motif)
+        });
     }
     // The unfused alternative (full spmm then Hadamard) as the ablation
     // point for the masked-product design choice.
     let uc = ds.graph.unidirectional();
     let uc_t = uc.transpose();
-    group.bench_function("m1_fused_masked_spmm", |b| {
-        b.iter(|| uc.spmm_masked(&uc, &uc_t))
+    row("motif_adjacency", "m1_fused_masked_spmm", || {
+        uc.spmm_masked(&uc, &uc_t)
     });
-    group.bench_function("m1_unfused_spmm_then_hadamard", |b| {
-        b.iter(|| uc.spmm(&uc).hadamard(&uc_t))
+    row("motif_adjacency", "m1_unfused_spmm_then_hadamard", || {
+        uc.spmm(&uc).hadamard(&uc_t)
     });
-    group.finish();
 }
 
-fn bench_pagerank(c: &mut Criterion) {
+fn bench_pagerank() {
     let (ds, _) = setup();
-    let mut group = c.benchmark_group("pagerank");
-    group.bench_function("plain", |b| {
-        b.iter(|| pagerank(&ds.graph, &PageRankConfig::default()))
+    row("pagerank", "plain", || {
+        pagerank(&ds.graph, &PageRankConfig::default())
     });
-    group.bench_function("motif_based_m6", |b| {
-        b.iter(|| motif_pagerank(&ds.graph, Motif::M6, &MotifPageRankConfig::default()))
+    row("pagerank", "motif_based_m6", || {
+        motif_pagerank(&ds.graph, Motif::M6, &MotifPageRankConfig::default())
     });
-    group.finish();
 }
 
-fn bench_hypergraph_conv(c: &mut Criterion) {
+fn bench_hypergraph_conv() {
     let (ds, h) = setup();
     let x = xavier_uniform(ds.graph.n(), 32, 11);
     let plain = HypergraphConv::new("b.plain", &h, 32, 32, 5);
     let adaptive = AdaptiveHypergraphConv::new("b.adaptive", &h, 32, 32, 5);
-    let mut group = c.benchmark_group("hypergraph_conv");
-    group.bench_function("plain_forward", |b| {
-        b.iter(|| {
-            let s = Session::new();
-            let xv = s.constant(x.clone());
-            plain.forward(&s, &xv).value()
-        })
+    row("hypergraph_conv", "plain_forward", || {
+        let s = Session::new();
+        let xv = s.constant(x.clone());
+        plain.forward(&s, &xv).value()
     });
-    group.bench_function("adaptive_forward", |b| {
-        b.iter(|| {
-            let s = Session::new();
-            let xv = s.constant(x.clone());
-            adaptive.forward(&s, &xv).value()
-        })
+    row("hypergraph_conv", "adaptive_forward", || {
+        let s = Session::new();
+        let xv = s.constant(x.clone());
+        adaptive.forward(&s, &xv).value()
     });
-    group.bench_function("adaptive_forward_backward", |b| {
-        b.iter(|| {
-            let s = Session::new();
-            let xv = s.constant(x.clone());
-            let y = adaptive.forward(&s, &xv);
-            y.mul(&y).sum().backward();
-            s.harvest();
-            adaptive.params().len()
-        })
+    row("hypergraph_conv", "adaptive_forward_backward", || {
+        let s = Session::new();
+        let xv = s.constant(x.clone());
+        let y = adaptive.forward(&s, &xv);
+        y.mul(&y).sum().backward();
+        s.harvest();
+        adaptive.params().len()
     });
-    group.finish();
 }
 
-fn bench_sparse_kernels(c: &mut Criterion) {
+fn bench_sparse_kernels() {
     let (ds, h) = setup();
     let inc: CsrMatrix<f32> = h.incidence();
     let x = xavier_uniform(h.n_edges(), 64, 13);
-    let mut group = c.benchmark_group("sparse_kernels");
-    group.bench_function("incidence_mul_dense", |b| b.iter(|| inc.mul_dense(&x)));
-    group.bench_function("incidence_t_mul_dense", |b| {
-        let y = xavier_uniform(h.n_vertices(), 64, 14);
-        b.iter(|| inc.t_mul_dense(&y))
+    let y = xavier_uniform(h.n_vertices(), 64, 14);
+    row("sparse_kernels", "incidence_mul_dense", || {
+        inc.mul_dense(&x)
+    });
+    row("sparse_kernels", "incidence_t_mul_dense", || {
+        inc.t_mul_dense(&y)
     });
     let adj = ds.graph.adjacency();
-    group.bench_function("adjacency_spmm_self", |b| b.iter(|| adj.spmm(adj)));
-    group.finish();
+    row("sparse_kernels", "adjacency_spmm_self", || adj.spmm(adj));
+}
+
+/// Times one kernel (best of [`SAMPLES`] calls) and prints its table row.
+fn row<O>(group: &str, kernel: &str, mut f: impl FnMut() -> O) {
+    let best = time_best(SAMPLES, || {
+        black_box(f());
+    });
+    print_row(&[
+        group.to_string(),
+        kernel.to_string(),
+        format!("{:.1}", best * 1e6),
+    ]);
 }
 
 /// Best-of-N wall time for one closure, with one untimed warmup.
@@ -173,12 +174,12 @@ fn speedup_case(
     println!("BENCH {}", line.to_line());
 }
 
-/// Serial-vs-parallel speedup table over the pool-backed kernels. Runs
-/// outside criterion's harness because each case must flip the global
-/// thread count between timings. Parallel thread count comes from
+/// Serial-vs-parallel speedup table over the pool-backed kernels. Each
+/// case flips the global thread count between timings. Parallel thread
+/// count comes from
 /// `AHNTP_THREADS` when set above 1, else 4 (wall-clock gains need real
 /// cores; results are bitwise identical regardless).
-fn bench_par_speedup(_c: &mut Criterion) {
+fn bench_par_speedup() {
     let scale = Scale::from_env();
     let old_threads = ahntp_par::threads();
     let par_threads = if old_threads > 1 { old_threads } else { 4 };
@@ -252,10 +253,13 @@ fn bench_par_speedup(_c: &mut Criterion) {
     ahntp_par::set_threads(old_threads);
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_motif_adjacency, bench_pagerank, bench_hypergraph_conv, bench_sparse_kernels,
-        bench_par_speedup
-);
-criterion_main!(benches);
+fn main() {
+    println!("## Kernel timings (best of {SAMPLES})\n");
+    print_row(&["group".into(), "kernel".into(), "best (µs)".into()]);
+    print_row(&["---".into(), "---".into(), "---".into()]);
+    bench_motif_adjacency();
+    bench_pagerank();
+    bench_hypergraph_conv();
+    bench_sparse_kernels();
+    bench_par_speedup();
+}

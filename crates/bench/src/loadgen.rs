@@ -14,9 +14,11 @@
 //! exact percentiles per request class — the read-latency cost of live
 //! ingest is the number the streaming benches exist to measure.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+
+use ahntp_serve::http::{format_request, read_response, Response};
 
 /// Shape of the generated load.
 #[derive(Debug, Clone)]
@@ -91,20 +93,13 @@ pub fn http_request(
     Ok((resp.status, resp.body))
 }
 
-/// A parsed HTTP response: status code, headers as lowercase
-/// `(name, value)` pairs, and the body.
-#[derive(Debug)]
-pub struct HttpResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// Response headers, names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// Response body (decoded to UTF-8).
-    pub body: String,
-}
-
 /// As [`http_request`], but also returns the response headers —
 /// e.g. to read `X-Ahntp-Trace-Id`.
+///
+/// The server closes an idle keep-alive connection when another client
+/// is waiting for a worker, and only between requests: a connection that
+/// closes before any byte of the answer never carried the request, so it
+/// is re-opened (into `stream`) and the request sent once more.
 ///
 /// # Errors
 ///
@@ -114,56 +109,32 @@ pub fn http_request_headers(
     method: &str,
     target: &str,
     body: &str,
-) -> std::io::Result<HttpResponse> {
-    let request = format!(
-        "{method} {target} HTTP/1.1\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes())?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line {status_line:?}"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::ErrorKind::UnexpectedEof.into());
+) -> std::io::Result<Response> {
+    let request = format_request(method, target, body, false);
+    let addr = stream.peer_addr()?;
+    // `None`: the connection closed before any byte of the answer.
+    let send = |stream: &mut TcpStream| -> std::io::Result<Option<Response>> {
+        let closed = |e: &std::io::Error| {
+            matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::BrokenPipe)
+        };
+        match stream.write_all(request.as_bytes()) {
+            Err(e) if closed(&e) => return Ok(None),
+            sent => sent?,
         }
-        if line.trim_end().is_empty() {
-            break;
+        let mut reader = BufReader::new(stream);
+        match reader.fill_buf() {
+            Ok([]) => Ok(None),
+            Err(e) if closed(&e) => Ok(None),
+            Err(e) => Err(e),
+            Ok(_) => read_response(&mut reader).map(Some),
         }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
-                })?;
-            }
-            headers.push((name, value));
-        }
+    };
+    if let Some(response) = send(stream)? {
+        return Ok(response);
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
+    *stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    send(stream)?.ok_or_else(|| ErrorKind::UnexpectedEof.into())
 }
 
 /// Deterministic pair pattern for connection `conn`, request `req`: spreads
@@ -216,11 +187,7 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
                         Ok(resp) if resp.status == 200 => {
                             latencies.push(sent.elapsed().as_micros() as u64);
                             if trace_id.is_none() {
-                                trace_id = resp
-                                    .headers
-                                    .into_iter()
-                                    .find(|(n, _)| n == "x-ahntp-trace-id")
-                                    .map(|(_, v)| v);
+                                trace_id = resp.headers.get("x-ahntp-trace-id").cloned();
                             }
                         }
                         Ok(_) | Err(_) => failed += 1,

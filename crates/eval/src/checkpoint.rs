@@ -453,6 +453,7 @@ mod tests {
 
     #[test]
     fn atomic_write_round_trips_and_replaces() {
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let path = tmp_path("atomic");
         write_checkpoint_atomic(&path, b"first").expect("write");
         assert_eq!(read_checkpoint(&path).expect("read"), b"first");

@@ -2,10 +2,12 @@
 //!
 //! Just enough protocol for the serving endpoints: request-line, headers,
 //! and `Content-Length` bodies on the way in, fixed-length responses with
-//! keep-alive on the way out. No chunked encoding, no TLS, no
-//! percent-decoding (user ids and counts are plain integers). Limits are
-//! hard-coded and conservative because the server fronts a model, not the
-//! open internet.
+//! keep-alive on the way out. The client side ([`read_response`]) reads
+//! those responses back through the same head and body reader, so the
+//! sharded front, the load generators and the tests share one parser.
+//! No chunked encoding, no TLS, no percent-decoding (user ids and counts
+//! are plain integers). Limits are hard-coded and conservative because
+//! the server fronts a model, not the open internet.
 //!
 //! Failpoints (`ahntp-faultz`): `serve.read` fires at the top of
 //! [`read_request`] and `serve.write` at the top of
@@ -104,19 +106,108 @@ impl Request {
 /// malformed syntax, [`HttpError::TooLarge`] on oversized bodies.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
     ahntp_faultz::failpoint!("serve.read");
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let Some((line, headers)) = read_head(reader)? else {
         return Ok(None);
-    }
+    };
     let mut parts = line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m.to_string(), t.to_string(), v),
+        (Some(m), Some(t), Some(v)) => (m.to_string(), t, v),
         _ => return Err(HttpError::BadRequest(format!("bad request line {line:?}"))),
     };
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::BadRequest(format!("unsupported version {version}")));
     }
+    let body = read_body(reader, &headers)?;
 
+    let (path, query_str) = target.split_once('?').unwrap_or((target, ""));
+    let mut query = BTreeMap::new();
+    for pair in query_str.split('&').filter(|p| !p.is_empty()) {
+        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+        query.insert(k.to_string(), v.to_string());
+    }
+
+    Ok(Some(Request {
+        method,
+        path: path.to_string(),
+        query,
+        headers,
+        body,
+    }))
+}
+
+/// Renders one request with a `Content-Length`-framed body, as the
+/// clients of this server (the sharded front, the load generators, the
+/// tests) send them; `close` asks the server to close the connection
+/// after answering.
+pub fn format_request(method: &str, target: &str, body: &str, close: bool) -> String {
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    format!(
+        "{method} {target} HTTP/1.1\r\nContent-Length: {}\r\n{connection}\r\n{body}",
+        body.len()
+    )
+}
+
+/// One parsed response: what a client of this server (the sharded
+/// front, the load generators, the tests) reads back.
+#[derive(Debug)]
+pub struct Response {
+    /// Status code from the status line.
+    pub status: u16,
+    /// Headers with lower-cased names.
+    pub headers: BTreeMap<String, String>,
+    /// The body; every endpoint answers UTF-8 text (JSON, Prometheus).
+    pub body: String,
+}
+
+/// Reads one response off the stream, framed by `Content-Length` under
+/// the same limits as [`read_request`].
+///
+/// # Errors
+///
+/// Socket failures; `UnexpectedEof` when the peer closes before the
+/// status line; `InvalidData` for a malformed status line or header, an
+/// oversized or non-UTF-8 body.
+pub fn read_response(reader: &mut impl BufRead) -> io::Result<Response> {
+    let (line, headers) = read_head(reader)?.ok_or(io::ErrorKind::UnexpectedEof)?;
+    let mut parts = line.split_whitespace();
+    let status = match (parts.next(), parts.next()) {
+        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code.parse().ok(),
+        _ => None,
+    }
+    .ok_or_else(|| invalid_data(format!("bad status line {line:?}")))?;
+    let body = String::from_utf8(read_body(reader, &headers)?)
+        .map_err(|_| invalid_data("response body is not UTF-8".to_string()))?;
+    Ok(Response {
+        status,
+        headers,
+        body,
+    })
+}
+
+fn invalid_data(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+impl From<HttpError> for io::Error {
+    fn from(e: HttpError) -> io::Error {
+        match e {
+            HttpError::Io(e) => e,
+            HttpError::BadRequest(m) => invalid_data(m),
+            HttpError::TooLarge => invalid_data("body too large".to_string()),
+        }
+    }
+}
+
+/// The start line and the headers (names lower-cased) of one message.
+type Head = (String, BTreeMap<String, String>);
+
+/// Reads the head of a request or a response. `Ok(None)` means EOF
+/// before the first byte.
+fn read_head(reader: &mut impl BufRead) -> Result<Option<Head>, HttpError> {
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Ok(None);
+    }
     let mut headers = BTreeMap::new();
     let mut head_bytes = line.len();
     loop {
@@ -137,7 +228,15 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         };
         headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
     }
+    Ok(Some((line, headers)))
+}
 
+/// Reads the `Content-Length` body that follows a head (empty without
+/// the header).
+fn read_body(
+    reader: &mut impl BufRead,
+    headers: &BTreeMap<String, String>,
+) -> Result<Vec<u8>, HttpError> {
     let content_length = match headers.get("content-length") {
         Some(v) => v
             .parse::<usize>()
@@ -149,44 +248,11 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-
-    let (path, query_str) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q),
-        None => (target.clone(), ""),
-    };
-    let mut query = BTreeMap::new();
-    for pair in query_str.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        query.insert(k.to_string(), v.to_string());
-    }
-
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-        headers,
-        body,
-    }))
+    Ok(body)
 }
 
-/// Writes one fixed-length response.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_response(
-    writer: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response_with(writer, status, reason, content_type, &[], body, keep_alive)
-}
-
-/// [`write_response`] plus arbitrary extra headers (e.g. `Retry-After` on
-/// load-shed and deadline responses).
+/// Writes one fixed-length response, with arbitrary extra headers (e.g.
+/// `Retry-After` on load-shed and deadline responses).
 ///
 /// # Errors
 ///
@@ -280,9 +346,49 @@ mod tests {
     }
 
     #[test]
+    fn formatted_requests_parse_back() {
+        let raw = format_request("POST", "/score?x=1", "{}", true);
+        let req = parse(&raw).unwrap().unwrap();
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/score"));
+        assert_eq!(req.body, b"{}");
+        assert!(req.wants_close());
+        let keep_alive = format_request("GET", "/healthz", "", false);
+        assert!(!parse(&keep_alive).unwrap().unwrap().wants_close());
+    }
+
+    #[test]
+    fn written_responses_read_back() {
+        let mut wire = Vec::new();
+        for body in [&b"{}"[..], b"second"] {
+            write_response_with(
+                &mut wire,
+                503,
+                "Service Unavailable",
+                "application/json",
+                &[("Retry-After", "2".to_string())],
+                body,
+                true,
+            )
+            .unwrap();
+        }
+        let mut reader = BufReader::new(&wire[..]);
+        let first = read_response(&mut reader).unwrap();
+        assert_eq!(first.status, 503);
+        assert_eq!(first.headers["retry-after"], "2");
+        assert_eq!(first.body, "{}");
+        // Exactly one response is consumed; the next one follows intact.
+        assert_eq!(read_response(&mut reader).unwrap().body, "second");
+        let eof = read_response(&mut reader).unwrap_err();
+        assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
+
+        let bad = read_response(&mut BufReader::new(&b"SPDY/3 200 OK\r\n\r\n"[..]));
+        assert_eq!(bad.unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
     fn responses_have_framed_bodies() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "OK", "application/json", b"{}", true).unwrap();
+        write_response_with(&mut out, 200, "OK", "application/json", &[], b"{}", true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 2\r\n"));

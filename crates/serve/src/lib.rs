@@ -26,17 +26,27 @@
 //!   throughout. The `ahntp_stream::StalenessBound` decides how much
 //!   staleness may accumulate between refreshes; the default refreshes
 //!   after every event, keeping the index exact.
-//! * [`serve_sharded`] — a scatter-gather front tier over shard servers
-//!   that each own a contiguous trustee id range
-//!   ([`ServeConfig::shard_range`]): `/score` requests are re-grouped by
-//!   owning shard, `/topk` fans out to every shard and merges the
-//!   per-shard heaps under the documented (score desc, id asc) order —
-//!   bitwise identical to the single-node exact scan. `POST /admin/swap`
+//! * [`serve_sharded`] — a scatter-gather front over shard servers that
+//!   each own a contiguous trustee id range ([`ServeConfig::shard_range`]):
+//!   `/score` requests are re-grouped by owning shard, `/topk` fans out to
+//!   every shard and merges the per-shard heaps under the documented
+//!   (score desc, id asc) order — bitwise identical to the single-node
+//!   exact scan. `POST /admin/swap`
 //!   (on shards and the front) hot-swaps a new artifact snapshot behind
 //!   the [`SharedIndex`] write lock with zero dropped requests, refusing
 //!   fingerprint or shape mismatches with `409`; v2 artifacts load
 //!   zero-copy ([`TrustIndex::open`]), so a shard (re)start maps instead
 //!   of parsing.
+//!
+//! All three run on **one runtime**: an acceptor thread, a worker pool,
+//! and one keep-alive connection loop, parameterised by the role's routes
+//! and the names it reports under. A front is a role of the same server,
+//! so it shares the loop's slow- and idle-client handling and answers the
+//! same observability endpoints (`/metrics`, `/debug/traces`, …); every
+//! entry point returns a [`ServerHandle`]. [`http`] holds the one HTTP
+//! parser both sides of a connection use: [`http::read_request`] on the
+//! server and [`http::read_response`] in every client (the front's shard
+//! RPCs, the load generators, the tests).
 //!
 //! Request latency (`serve.request.us`), batch sizes
 //! (`serve.score.batch_size`), queue depth (`serve.queue.depth`) and

@@ -1,20 +1,44 @@
-//! The serving loop: acceptor, worker pool, and the scoring micro-batcher.
+//! The serving runtime — acceptor, worker pool, keep-alive connection
+//! loop — and the node role that runs on it with the scoring
+//! micro-batcher.
 //!
 //! ```text
 //! TcpListener ──accept──▶ acceptor thread ──mpsc──▶ worker pool (N threads)
-//!                                                      │ POST /score
-//!                                                      ▼
+//!                                                      │ Role::routes
+//!                                                      ▼ (node) POST /score
 //!                                       bounded batch queue (Mutex+Condvar)
 //!                                                      │ drain ≤ max_batch
 //!                                                      ▼
 //!                                             batcher thread ──▶ TrustIndex
 //! ```
 //!
+//! # One runtime, two roles
+//!
+//! [`start`] runs a [`Role`] — a route function, the role's metric and log
+//! names, and its `X-Ahntp-Backend` value — on the shared runtime. A node
+//! ([`serve`], [`serve_live`]) routes `/score`, `/topk`, `/events`,
+//! `/admin/swap` and `/healthz` to its index; the sharded front
+//! ([`serve_sharded`](crate::serve_sharded)) routes the same paths to its
+//! shards. The runtime itself answers `/metrics`, `/metrics/prometheus`,
+//! `/debug/traces` and `/debug/trace.json` for both, stamps every response
+//! with a trace id, and records every request in the trace ring.
+//!
 //! Workers parse HTTP and answer `GET` endpoints directly; `POST /score`
 //! jobs go through the batch queue so concurrent clients share index
 //! scans. Shutdown is cooperative: a flag flip plus one self-connection
 //! unblocks the acceptor, workers finish their in-flight requests, and
 //! the batcher drains the queue before exiting — no request is dropped.
+//!
+//! # Slow and idle clients
+//!
+//! [`ServeConfig::read_timeout`] is only the idle tick of the connection
+//! loop. A request whose first byte has arrived is never interrupted by a
+//! tick, so a head split across ticks is one request; the whole request
+//! must arrive within [`ServeConfig::deadline`] of that byte, or the
+//! connection is closed (a drip-fed "slowloris" head holds its worker for
+//! at most the deadline plus one tick). Between requests, a tick closes
+//! the connection when shutdown has begun or when an accepted connection
+//! is waiting for a worker, so idle keep-alive clients never pin the pool.
 //!
 //! # Live trust
 //!
@@ -61,9 +85,9 @@
 //! plus `serve.read` / `serve.write` in the HTTP layer.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,11 +103,12 @@ use ahntp_stream::{
 };
 
 use crate::backend::BackendKind;
-use crate::http::{read_request, write_response, write_response_with, HttpError, Request};
+use crate::http::{read_request, write_response_with, HttpError, Request};
 use crate::index::{ScoreError, SharedIndex, TrustIndex};
 use crate::trace_ring::{RequestTrace, Stage, TraceRing};
 
-/// Tuning knobs for [`serve`].
+/// Tuning knobs for [`serve`], [`serve_live`] and
+/// [`serve_sharded`](crate::serve_sharded).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; use port 0 to let the OS pick (tests do).
@@ -96,8 +121,10 @@ pub struct ServeConfig {
     pub batch_wait: Duration,
     /// Maximum queued scoring jobs before `POST /score` answers 503.
     pub queue_capacity: usize,
-    /// Socket read timeout; bounds how long an idle keep-alive connection
-    /// can delay shutdown.
+    /// Socket read timeout: the idle tick of the connection loop. It
+    /// bounds how long an idle keep-alive connection can delay shutdown or
+    /// hold a worker another connection is waiting for; it never cuts a
+    /// request in progress (see `deadline`).
     pub read_timeout: Duration,
     /// Kernel worker threads for the `ahntp-par` pool that large scoring
     /// batches and top-k scans fan out over. `0` (the default) leaves the
@@ -105,10 +132,13 @@ pub struct ServeConfig {
     /// core); any other value overrides it at startup. Results are
     /// bitwise identical at every setting.
     pub threads: usize,
-    /// Per-request deadline for `POST /score`: if the batcher has not
-    /// replied within this budget (measured from request parse), the
+    /// Per-request deadline. Reading: a request must arrive whole within
+    /// this budget of its first byte, or the connection is closed. For
+    /// `POST /score` and `POST /events`: if the batcher or the applier has
+    /// not replied within this budget (measured from request parse), the
     /// worker answers `504 Gateway Timeout` with a `Retry-After` header
-    /// instead of blocking forever.
+    /// instead of blocking forever. A front also uses it as the timeout of
+    /// each shard RPC.
     pub deadline: Duration,
     /// Value of the `Retry-After` header (whole seconds, minimum 1) on
     /// load-shed (`503`) and deadline (`504`) responses.
@@ -199,14 +229,13 @@ impl Response {
     }
 }
 
-/// Everything a worker needs to answer one request.
-struct RequestCtx<'a> {
-    index: &'a SharedIndex,
-    queue: &'a BatchQueue,
-    traces: &'a TraceRing,
+/// Everything a node needs to answer its own endpoints.
+struct RequestCtx {
+    index: Arc<SharedIndex>,
+    queue: Arc<BatchQueue>,
     /// Channel to the live-event applier thread; `None` on a frozen
     /// server, which answers `POST /events` with `501`.
-    ingest: Option<&'a mpsc::Sender<IngestJob>>,
+    ingest: Option<mpsc::Sender<IngestJob>>,
     deadline: Duration,
     retry_after: Duration,
     /// Active scoring backend name, captured once at startup (head
@@ -418,19 +447,22 @@ fn run_batcher(queue: &BatchQueue, index: &SharedIndex, max_batch: usize, batch_
     }
 }
 
-/// Handle to a running server. Dropping it shuts the server down.
+/// Handle to a running server: a node from [`serve`] or [`serve_live`],
+/// or a front from [`serve_sharded`](crate::serve_sharded). Dropping it
+/// shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
+    /// The role's log target.
+    log: &'static str,
     shutdown: Arc<AtomicBool>,
-    queue: Arc<BatchQueue>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
-    /// Live servers only: the ingest channel and the applier thread.
-    /// Dropping the sender (after the workers' clones are gone) lets the
-    /// applier drain the remaining batches and exit.
-    ingest: Option<mpsc::Sender<IngestJob>>,
-    applier: Option<JoinHandle<()>>,
+    /// Nodes only: the scoring queue and its batcher thread.
+    batcher: Option<(Arc<BatchQueue>, JoinHandle<()>)>,
+    /// Live nodes only: an ingest sender and the applier thread. Dropping
+    /// the sender (after the workers' clones are gone) lets the applier
+    /// drain the remaining batches and exit.
+    applier: Option<(mpsc::Sender<IngestJob>, JoinHandle<()>)>,
 }
 
 impl ServerHandle {
@@ -441,7 +473,8 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stops accepting, lets in-flight requests
-    /// finish, drains the scoring queue, joins every thread.
+    /// finish, drains the scoring queue, joins every thread. A front's
+    /// shards are servers of their own and keep running.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -461,21 +494,24 @@ impl ServerHandle {
             let _ = t.join();
         }
         // No worker can enqueue anymore: drain the batcher and stop it.
-        self.queue.stop();
-        if let Some(t) = self.batcher.take() {
+        if let Some((queue, t)) = self.batcher.take() {
+            queue.stop();
             let _ = t.join();
         }
         // Workers are gone, so the handle holds the last ingest sender:
         // dropping it disconnects the channel and the applier exits once
-        // it has drained the already-queued batches.
-        drop(self.ingest.take());
-        if let Some(t) = self.applier.take() {
+        // it has drained the already-queued batches. It exits last, after
+        // the batcher, so the next server's applier thread reuses the
+        // allocator arena that held this one's model instead of a fresh
+        // one (peak RSS of servers started one after another).
+        if let Some((ingest, t)) = self.applier.take() {
+            drop(ingest);
             let _ = t.join();
         }
         // Every thread has quiesced: if AHNTP_TRACE_OUT is set, persist
         // the Chrome trace collected over the server's lifetime.
         ahntp_telemetry::flush_trace_to_env();
-        info!("serve", "server on {} stopped", self.addr);
+        info!(self.log, "server on {} stopped", self.addr);
     }
 }
 
@@ -665,15 +701,6 @@ fn serve_shared(
     if config.threads > 0 {
         ahntp_par::set_threads(config.threads);
     }
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let (ingest_tx, applier) = match live {
-        Some((tx, thread)) => (Some(tx), Some(thread)),
-        None => (None, None),
-    };
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let queue = Arc::new(BatchQueue::new(config.queue_capacity.max(1)));
-    let traces = Arc::new(TraceRing::new(config.trace_ring));
 
     // Capture the backend surface once: the kind never changes after
     // startup, so workers echo a `&'static str` instead of re-reading it,
@@ -698,30 +725,121 @@ fn serve_shared(
         }
         (snapshot.backend_name(), snapshot.backend_kind())
     };
-    let shard_range = config.shard_range;
 
+    let mode = if live.is_some() { "live" } else { "frozen" };
+    let queue = Arc::new(BatchQueue::new(config.queue_capacity.max(1)));
+    let ctx = RequestCtx {
+        index: Arc::clone(&index),
+        queue: Arc::clone(&queue),
+        ingest: live.as_ref().map(|(ingest, _)| ingest.clone()),
+        deadline: config.deadline,
+        retry_after: config.retry_after,
+        backend: backend_name,
+        backend_kind,
+        shard_range: config.shard_range,
+    };
+    let role = Role {
+        names: &NODE,
+        backend: backend_name.to_string(),
+        routes: Box::new(move |req, trace_id, stages| route(req, &ctx, trace_id, stages)),
+    };
+    let mut handle = start(role, config)?;
+    {
+        let snapshot = index.read();
+        info!(
+            "serve",
+            "serving {} users of model {:?} on {} with {} workers ({mode}, {backend_name} backend)",
+            snapshot.n_users(),
+            snapshot.model(),
+            handle.addr(),
+            config.workers.max(1),
+        );
+    }
+    let (max_batch, batch_wait) = (config.max_batch.max(1), config.batch_wait);
+    let batcher = {
+        let queue = Arc::clone(&queue);
+        std::thread::spawn(move || run_batcher(&queue, &index, max_batch, batch_wait))
+    };
+    handle.batcher = Some((queue, batcher));
+    handle.applier = live;
+    Ok(handle)
+}
+
+/// The names a role reports under. Tests and the benchmark run a front
+/// and its shards in one process, and so against one metrics registry:
+/// each role counts under its own names.
+pub(crate) struct Names {
+    /// Counter of requests answered.
+    pub(crate) requests: &'static str,
+    /// Counter of requests answered with a status of 400 or above.
+    pub(crate) errors: &'static str,
+    /// Histogram of request wall time, µs.
+    pub(crate) latency: &'static str,
+    /// Target of the role's log lines.
+    pub(crate) log: &'static str,
+    /// Target of the per-request access log (`debug` level, off by
+    /// default).
+    pub(crate) access_log: &'static str,
+}
+
+const NODE: Names = Names {
+    requests: "serve.http.requests",
+    errors: "serve.http.errors",
+    latency: "serve.request.us",
+    log: "serve",
+    access_log: "serve.access",
+};
+
+/// A role's own endpoints: given the request, its trace id and the stage
+/// list to record timings in, the answer.
+pub(crate) type Routes = Box<dyn Fn(&Request, u64, &mut Vec<Stage>) -> Response + Send + Sync>;
+
+/// What one kind of server runs on the shared runtime: its routes and
+/// the names it reports under.
+pub(crate) struct Role {
+    pub(crate) names: &'static Names,
+    /// `X-Ahntp-Backend` value on every response.
+    pub(crate) backend: String,
+    pub(crate) routes: Routes,
+}
+
+/// Binds `config.addr` and serves `role` there: one acceptor thread, a
+/// pool of `config.workers` threads taking accepted connections over a
+/// channel, and the keep-alive loop ([`Runtime::serve`]) on each.
+pub(crate) fn start(role: Role, config: &ServeConfig) -> io::Result<ServerHandle> {
+    let listener = TcpListener::bind(&config.addr)?;
+    let addr = listener.local_addr()?;
+    let log = role.names.log;
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let runtime = Arc::new(Runtime {
+        role,
+        traces: TraceRing::new(config.trace_ring),
+        shutdown: Arc::clone(&shutdown),
+        waiting: AtomicUsize::new(0),
+        read_timeout: config.read_timeout,
+        deadline: config.deadline,
+    });
     let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
     let conn_rx = Arc::new(Mutex::new(conn_rx));
 
     let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break; // the wake-up connection, or late arrival
-                        }
-                        if conn_tx.send(stream).is_err() {
-                            break;
-                        }
+        let runtime = Arc::clone(&runtime);
+        std::thread::spawn(move || loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if runtime.shutdown.load(Ordering::SeqCst) {
+                        break; // the wake-up connection, or late arrival
                     }
-                    Err(e) => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        warn!("serve", "accept failed: {e}");
+                    runtime.waiting.fetch_add(1, Ordering::SeqCst);
+                    if conn_tx.send(stream).is_err() {
+                        break;
                     }
+                }
+                Err(e) => {
+                    if runtime.shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    warn!(log, "accept failed: {e}");
                 }
             }
         })
@@ -730,188 +848,239 @@ fn serve_shared(
     let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
         .map(|_| {
             let conn_rx = Arc::clone(&conn_rx);
-            let index = Arc::clone(&index);
-            let queue = Arc::clone(&queue);
-            let traces = Arc::clone(&traces);
-            let shutdown = Arc::clone(&shutdown);
-            let ingest = ingest_tx.clone();
-            let read_timeout = config.read_timeout;
-            let (deadline, retry_after) = (config.deadline, config.retry_after);
+            let runtime = Arc::clone(&runtime);
             std::thread::spawn(move || loop {
                 // Don't hold the receiver lock while serving a connection.
-                let stream = match conn_rx.lock().unwrap().recv() {
-                    Ok(s) => s,
-                    Err(_) => return, // acceptor gone and channel drained
+                let Ok(stream) = conn_rx.lock().expect("no worker panics holding it").recv() else {
+                    return; // acceptor gone and channel drained
                 };
-                let ctx = RequestCtx {
-                    index: &index,
-                    queue: &queue,
-                    traces: &traces,
-                    ingest: ingest.as_ref(),
-                    deadline,
-                    retry_after,
-                    backend: backend_name,
-                    backend_kind,
-                    shard_range,
-                };
-                if let Err(e) = handle_connection(stream, &ctx, &shutdown, read_timeout) {
-                    warn!("serve", "connection dropped: {e}");
+                runtime.waiting.fetch_sub(1, Ordering::SeqCst);
+                if let Err(e) = runtime.serve(stream) {
+                    warn!(log, "connection dropped: {e}");
                 }
             })
         })
         .collect();
 
-    let batcher = {
-        let index = Arc::clone(&index);
-        let queue = Arc::clone(&queue);
-        let (max_batch, batch_wait) = (config.max_batch.max(1), config.batch_wait);
-        std::thread::spawn(move || run_batcher(&queue, &index, max_batch, batch_wait))
-    };
-
-    {
-        let snapshot = index.read();
-        info!(
-            "serve",
-            "serving {} users of model {:?} on {addr} with {} workers ({}, {} backend)",
-            snapshot.n_users(),
-            snapshot.model(),
-            config.workers.max(1),
-            if ingest_tx.is_some() { "live" } else { "frozen" },
-            backend_name
-        );
-    }
     Ok(ServerHandle {
         addr,
+        log,
         shutdown,
-        queue,
         acceptor: Some(acceptor),
         workers,
-        batcher: Some(batcher),
-        ingest: ingest_tx,
-        applier,
+        batcher: None,
+        applier: None,
     })
 }
 
-/// Serves one connection (keep-alive loop) until close, error, or
-/// shutdown.
-fn handle_connection(
-    stream: TcpStream,
-    ctx: &RequestCtx<'_>,
-    shutdown: &AtomicBool,
+/// What every worker of one server shares.
+struct Runtime {
+    role: Role,
+    /// The last requests served, behind `GET /debug/traces`.
+    traces: TraceRing,
+    shutdown: Arc<AtomicBool>,
+    /// Accepted connections no worker has taken yet: the acceptor bumps
+    /// it, the worker that takes one drops it.
+    waiting: AtomicUsize,
     read_timeout: Duration,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
-    // Responses are one small write each; Nagle + delayed ACK would add
-    // ~40ms per exchange.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(req)) => {
-                let started = Instant::now();
-                let req_ts_us = trace_now_us();
-                counter_add("serve.http.requests", 1);
-                let trace_id = ahntp_telemetry::next_trace_id();
-                let mut stages: Vec<Stage> = Vec::new();
-                let resp = {
-                    // Ambient id for any span opened while handling this
-                    // request on this thread (top-k scans, metrics, ...).
-                    let _scope = ahntp_telemetry::set_trace_id_scope(trace_id);
-                    route(&req, ctx, trace_id, &mut stages)
-                };
-                if resp.status >= 400 {
-                    counter_add("serve.http.errors", 1);
-                }
-                let mut headers: Vec<(&str, String)> = vec![
-                    ("X-Ahntp-Trace-Id", format!("{trace_id:016x}")),
-                    ("X-Ahntp-Backend", ctx.backend.to_string()),
-                ];
-                if let Some(secs) = resp.retry_after {
-                    headers.push(("Retry-After", secs.to_string()));
-                }
-                // Finish the in-flight response even during shutdown, but
-                // don't invite another request.
-                let keep_alive = !req.wants_close() && !shutdown.load(Ordering::SeqCst);
-                let (status, reason) = (resp.status, resp.reason);
-                let (content_type, body) = match resp.text {
-                    Some((ct, text)) => (ct, text.into_bytes()),
-                    None => ("application/json", resp.body.to_line().into_bytes()),
-                };
-                write_response_with(
-                    &mut writer,
-                    status,
-                    reason,
-                    content_type,
-                    &headers,
-                    &body,
-                    keep_alive,
-                )?;
-                let us = started.elapsed().as_micros() as u64;
-                histogram_record("serve.request.us", us);
-                // Access log: off by default (Info floor); enable with
-                // AHNTP_LOG=serve.access=debug.
-                debug!(
-                    "serve.access",
-                    "{} {} {status} {us}us trace={trace_id:016x}",
-                    req.method,
-                    req.path
-                );
-                if ahntp_telemetry::trace_collecting() {
-                    // Request lane: one serve.request span with the
-                    // stages nested under the same (pid, tid).
-                    ahntp_telemetry::trace_complete_request(
-                        "serve.request",
-                        req_ts_us,
-                        us,
-                        trace_id,
-                    );
-                    for s in &stages {
-                        ahntp_telemetry::trace_complete_request(
-                            s.name, s.ts_us, s.dur_us, trace_id,
-                        );
+    deadline: Duration,
+}
+
+impl Runtime {
+    /// Serves one connection (keep-alive loop) until close, error, or
+    /// shutdown.
+    ///
+    /// `read_timeout` is only the idle tick: between requests each tick
+    /// checks for shutdown, and yields the worker (closing this idle
+    /// connection) when another accepted connection is waiting for one.
+    /// Once a request's first byte has arrived no tick interrupts it
+    /// ([`RequestReader`]), and the whole request must arrive within
+    /// `deadline` of that byte or the connection is closed.
+    fn serve(&self, stream: TcpStream) -> io::Result<()> {
+        stream.set_read_timeout(Some(self.read_timeout))?;
+        // Responses are one small write each; Nagle + delayed ACK would
+        // add ~40ms per exchange.
+        stream.set_nodelay(true)?;
+        let mut writer = stream.try_clone()?;
+        let mut reader = BufReader::new(RequestReader {
+            stream,
+            deadline: self.deadline,
+            started: None,
+        });
+        loop {
+            match read_request(&mut reader) {
+                Ok(Some(req)) => {
+                    // Bytes already buffered open the next (pipelined)
+                    // request.
+                    reader.get_mut().started = (!reader.buffer().is_empty()).then(Instant::now);
+                    if !self.answer(&req, &mut writer)? {
+                        return Ok(());
                     }
                 }
-                ctx.traces.push(RequestTrace {
-                    trace_id,
-                    method: req.method.clone(),
-                    path: req.path.clone(),
-                    status,
-                    ts_us: req_ts_us,
-                    dur_us: us,
-                    stages,
-                });
-                if !keep_alive {
-                    return Ok(());
+                Ok(None) => return Ok(()), // peer closed between requests
+                Err(HttpError::Io(e)) if is_tick(&e) && reader.get_ref().started.is_none() => {
+                    if self.shutdown.load(Ordering::SeqCst)
+                        || self.waiting.load(Ordering::SeqCst) > 0
+                    {
+                        return Ok(());
+                    }
                 }
-            }
-            Ok(None) => return Ok(()), // peer closed between requests
-            Err(HttpError::Io(e))
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                // Idle keep-alive poll tick; only exit once shutdown is on.
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(());
+                Err(HttpError::Io(e)) => return Err(e),
+                Err(HttpError::BadRequest(m)) => {
+                    return self.reject(&mut writer, 400, "Bad Request", &m)
                 }
-            }
-            Err(HttpError::Io(e)) => return Err(e),
-            Err(HttpError::BadRequest(m)) => {
-                counter_add("serve.http.errors", 1);
-                let body = Json::obj([("error", Json::from(m.as_str()))]).to_line();
-                write_response(&mut writer, 400, "Bad Request", "application/json",
-                    body.as_bytes(), false)?;
-                return Ok(());
-            }
-            Err(HttpError::TooLarge) => {
-                counter_add("serve.http.errors", 1);
-                let body =
-                    Json::obj([("error", Json::from("body too large"))]).to_line();
-                write_response(&mut writer, 413, "Payload Too Large", "application/json",
-                    body.as_bytes(), false)?;
-                return Ok(());
+                Err(HttpError::TooLarge) => {
+                    return self.reject(&mut writer, 413, "Payload Too Large", "body too large")
+                }
             }
         }
-        writer.flush()?;
+    }
+
+    /// Answers a request that could not be read, closing the connection.
+    fn reject(
+        &self,
+        writer: &mut TcpStream,
+        status: u16,
+        reason: &str,
+        message: &str,
+    ) -> io::Result<()> {
+        counter_add(self.role.names.errors, 1);
+        let body = Json::obj([("error", Json::from(message))]).to_line();
+        let json = "application/json";
+        write_response_with(writer, status, reason, json, &[], body.as_bytes(), false)
+    }
+
+    /// Answers one request and records it; returns whether the
+    /// connection stays open.
+    fn answer(&self, req: &Request, writer: &mut TcpStream) -> io::Result<bool> {
+        let names = self.role.names;
+        let started = Instant::now();
+        let req_ts_us = trace_now_us();
+        counter_add(names.requests, 1);
+        let trace_id = ahntp_telemetry::next_trace_id();
+        let mut stages: Vec<Stage> = Vec::new();
+        let resp = {
+            // Ambient id for any span opened while handling this request
+            // on this thread (top-k scans, metrics, ...).
+            let _scope = ahntp_telemetry::set_trace_id_scope(trace_id);
+            self.route(req, trace_id, &mut stages)
+        };
+        if resp.status >= 400 {
+            counter_add(names.errors, 1);
+        }
+        let mut headers: Vec<(&str, String)> = vec![
+            ("X-Ahntp-Trace-Id", format!("{trace_id:016x}")),
+            ("X-Ahntp-Backend", self.role.backend.clone()),
+        ];
+        if let Some(secs) = resp.retry_after {
+            headers.push(("Retry-After", secs.to_string()));
+        }
+        // Finish the in-flight response even during shutdown, but don't
+        // invite another request.
+        let keep_alive = !req.wants_close() && !self.shutdown.load(Ordering::SeqCst);
+        let (status, reason) = (resp.status, resp.reason);
+        let (content_type, body) = match resp.text {
+            Some((ct, text)) => (ct, text.into_bytes()),
+            None => ("application/json", resp.body.to_line().into_bytes()),
+        };
+        write_response_with(writer, status, reason, content_type, &headers, &body, keep_alive)?;
+        let us = started.elapsed().as_micros() as u64;
+        histogram_record(names.latency, us);
+        debug!(
+            names.access_log,
+            "{} {} {status} {us}us trace={trace_id:016x}",
+            req.method,
+            req.path
+        );
+        if ahntp_telemetry::trace_collecting() {
+            // Request lane: one serve.request span with the stages nested
+            // under the same (pid, tid).
+            ahntp_telemetry::trace_complete_request("serve.request", req_ts_us, us, trace_id);
+            for s in &stages {
+                ahntp_telemetry::trace_complete_request(s.name, s.ts_us, s.dur_us, trace_id);
+            }
+        }
+        self.traces.push(RequestTrace {
+            trace_id,
+            method: req.method.clone(),
+            path: req.path.clone(),
+            status,
+            ts_us: req_ts_us,
+            dur_us: us,
+            stages,
+        });
+        Ok(keep_alive)
+    }
+
+    /// The observability endpoints every role answers; everything else
+    /// goes to the role's routes.
+    fn route(&self, req: &Request, trace_id: u64, stages: &mut Vec<Stage>) -> Response {
+        match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/metrics") => match req.query.get("format").map(String::as_str) {
+                Some("prometheus") => {
+                    Response::text("text/plain; version=0.0.4", metrics_prometheus_text())
+                }
+                Some(other) => Response::error(
+                    400,
+                    "Bad Request",
+                    &format!("unknown metrics format {other:?} (try \"prometheus\")"),
+                ),
+                None => Response::new(200, "OK", metrics_snapshot_json()),
+            },
+            ("GET", "/metrics/prometheus") => {
+                Response::text("text/plain; version=0.0.4", metrics_prometheus_text())
+            }
+            // The last trace_ring requests with their stage timings.
+            ("GET", "/debug/traces") => Response::new(200, "OK", self.traces.to_json()),
+            // The live Chrome trace buffer (empty unless collection is on).
+            ("GET", "/debug/trace.json") => {
+                Response::new(200, "OK", ahntp_telemetry::chrome_trace_json())
+            }
+            (_, "/metrics" | "/metrics/prometheus" | "/debug/traces" | "/debug/trace.json") => {
+                Response::error(405, "Method Not Allowed", "method not allowed")
+            }
+            _ => (self.role.routes)(req, trace_id, stages),
+        }
+    }
+}
+
+/// Whether a read error is the socket's read timeout firing.
+fn is_tick(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
+/// The socket under a connection's `BufReader`. Between requests a
+/// read-timeout tick surfaces as an error so the loop can check for
+/// shutdown; once a request's first byte has arrived, ticks are retried
+/// (a head split across ticks is never torn) until `deadline` after that
+/// byte, when the read fails with `TimedOut`.
+struct RequestReader {
+    stream: TcpStream,
+    deadline: Duration,
+    /// When the request being read began; `None` between requests.
+    started: Option<Instant>,
+}
+
+impl Read for RequestReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            if self.started.is_some_and(|t| t.elapsed() >= self.deadline) {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "request not received within the deadline",
+                ));
+            }
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    if n > 0 {
+                        self.started.get_or_insert_with(Instant::now);
+                    }
+                    return Ok(n);
+                }
+                Err(e) if self.started.is_some() && is_tick(&e) => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 
@@ -922,7 +1091,7 @@ fn handle_connection(
 /// stalled.
 fn route(
     req: &Request,
-    ctx: &RequestCtx<'_>,
+    ctx: &RequestCtx,
     trace_id: u64,
     stages: &mut Vec<Stage>,
 ) -> Response {
@@ -962,29 +1131,7 @@ fn route(
             }
             Response::new(200, "OK", Json::obj(entries))
         }
-        ("GET", "/metrics") => match req.query.get("format").map(String::as_str) {
-            Some("prometheus") => {
-                Response::text("text/plain; version=0.0.4", metrics_prometheus_text())
-            }
-            Some(other) => Response::error(
-                400,
-                "Bad Request",
-                &format!("unknown metrics format {other:?} (try \"prometheus\")"),
-            ),
-            None => Response::new(200, "OK", metrics_snapshot_json()),
-        },
-        ("GET", "/metrics/prometheus") => {
-            Response::text("text/plain; version=0.0.4", metrics_prometheus_text())
-        }
-        // The last trace_ring requests with their stage timings.
-        ("GET", "/debug/traces") => Response::new(200, "OK", ctx.traces.to_json()),
-        // The live Chrome trace buffer (empty unless collection is on).
-        ("GET", "/debug/trace.json") => {
-            Response::new(200, "OK", ahntp_telemetry::chrome_trace_json())
-        }
-        (_, "/score") | (_, "/events") | (_, "/admin/swap") | (_, "/topk") | (_, "/healthz")
-        | (_, "/metrics") | (_, "/metrics/prometheus") | (_, "/debug/traces")
-        | (_, "/debug/trace.json") => {
+        (_, "/score" | "/events" | "/admin/swap" | "/topk" | "/healthz") => {
             Response::error(405, "Method Not Allowed", "method not allowed")
         }
         _ => Response::error(404, "Not Found", "no such endpoint"),
@@ -1017,14 +1164,14 @@ pub(crate) fn parse_pairs(body: &[u8]) -> Result<Vec<(usize, usize)>, String> {
 }
 
 /// A load-shed answer: `503` + `Retry-After`, counted in `serve.shed`.
-fn shed(ctx: &RequestCtx<'_>, message: &str) -> Response {
+fn shed(ctx: &RequestCtx, message: &str) -> Response {
     counter_add("serve.shed", 1);
     Response::error(503, "Service Unavailable", message).retry_after(ctx.retry_after)
 }
 
 fn score_endpoint(
     req: &Request,
-    ctx: &RequestCtx<'_>,
+    ctx: &RequestCtx,
     trace_id: u64,
     stages: &mut Vec<Stage>,
 ) -> Response {
@@ -1107,7 +1254,7 @@ fn score_endpoint(
 /// prefix length; the index has still caught up with that prefix.
 fn events_endpoint(
     req: &Request,
-    ctx: &RequestCtx<'_>,
+    ctx: &RequestCtx,
     trace_id: u64,
     stages: &mut Vec<Stage>,
 ) -> Response {
@@ -1119,7 +1266,7 @@ fn events_endpoint(
         "Internal Server Error",
         "injected fault in event ingest",
     ));
-    let Some(ingest) = ctx.ingest else {
+    let Some(ingest) = &ctx.ingest else {
         return Response::error(
             501,
             "Not Implemented",
@@ -1200,7 +1347,7 @@ fn events_endpoint(
 /// disagrees with the serving one, `422` when the file is torn or
 /// corrupt (CRC/offsets-table failures surface here as errors, never
 /// panics), `500` when the `shard.swap` failpoint injects a fault.
-fn swap_endpoint(req: &Request, ctx: &RequestCtx<'_>) -> Response {
+fn swap_endpoint(req: &Request, ctx: &RequestCtx) -> Response {
     ahntp_faultz::failpoint!("shard.swap", |_inj| Response::error(
         500,
         "Internal Server Error",
@@ -1250,21 +1397,26 @@ fn swap_endpoint(req: &Request, ctx: &RequestCtx<'_>) -> Response {
     }
 }
 
+/// The `user` and `k` (default 10) of a `/topk` request, or the `400` to
+/// answer. Shared with the sharded front, which forwards both.
+pub(crate) fn topk_query(req: &Request) -> Result<(usize, usize), Response> {
+    let k = match req.query.get("k") {
+        Some(_) => req.query_usize("k"),
+        None => Ok(10),
+    };
+    req.query_usize("user")
+        .and_then(|user| Ok((user, k?)))
+        .map_err(|m| Response::error(400, "Bad Request", &m))
+}
+
 fn topk_endpoint(
     req: &Request,
     index: &TrustIndex,
     shard_range: Option<(usize, usize)>,
 ) -> Response {
-    let user = match req.query_usize("user") {
-        Ok(u) => u,
-        Err(m) => return Response::error(400, "Bad Request", &m),
-    };
-    let k = match req.query.get("k") {
-        Some(_) => match req.query_usize("k") {
-            Ok(k) => k,
-            Err(m) => return Response::error(400, "Bad Request", &m),
-        },
-        None => 10,
+    let (user, k) = match topk_query(req) {
+        Ok(query) => query,
+        Err(resp) => return resp,
     };
     // A shard scans only its owned trustee range (exact arithmetic, so a
     // front-tier merge reproduces the single-node exact scan bitwise); a
@@ -1299,8 +1451,9 @@ fn topk_endpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{format_request, read_response};
     use ahntp_nn::TrustArtifact;
-    use std::io::{BufRead, Read};
+    use std::io::Write;
 
     fn toy_index(n_users: usize) -> TrustIndex {
         // Unit rows at distinct angles around the circle.
@@ -1336,36 +1489,12 @@ mod tests {
 
     /// Blocking one-shot HTTP exchange; returns (status, body).
     fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(request.as_bytes()).unwrap();
-        let mut reader = BufReader::new(&mut stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line).unwrap();
-        let status: u16 = status_line.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            if line.trim_end().is_empty() {
-                break;
-            }
-            if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-                content_length = v.trim().parse().unwrap();
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).unwrap();
-        (status, String::from_utf8(body).unwrap())
+        let (status, _, body) = exchange_with_headers(addr, request);
+        (status, body)
     }
 
     fn post_score(addr: SocketAddr, body: &str) -> (u16, String) {
-        exchange(
-            addr,
-            &format!(
-                "POST /score HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            ),
-        )
+        exchange(addr, &format_request("POST", "/score", body, true))
     }
 
     #[test]
@@ -1455,23 +1584,8 @@ mod tests {
             stream
                 .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
                 .unwrap();
-            let mut reader = BufReader::new(&stream);
-            let mut status_line = String::new();
-            reader.read_line(&mut status_line).unwrap();
-            assert!(status_line.contains("200"), "{status_line}");
-            let mut content_length = 0usize;
-            loop {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                if line.trim_end().is_empty() {
-                    break;
-                }
-                if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-                    content_length = v.trim().parse().unwrap();
-                }
-            }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).unwrap();
+            let response = read_response(&mut BufReader::new(&stream)).unwrap();
+            assert_eq!(response.status, 200, "{}", response.body);
         }
         server.shutdown();
     }
@@ -1493,27 +1607,20 @@ mod tests {
                             Err(_) => break, // listener already closed
                         };
                         let body = r#"{"pairs":[[0,1],[2,3],[4,5]]}"#;
-                        let req = format!(
-                            "POST /score HTTP/1.1\r\nContent-Length: {}\r\n\
-                             Connection: close\r\n\r\n{body}",
-                            body.len()
-                        );
+                        let req = format_request("POST", "/score", body, true);
                         if stream.write_all(req.as_bytes()).is_err() {
                             break;
                         }
-                        let mut response = String::new();
-                        if BufReader::new(&stream).read_to_string(&mut response).is_err() {
+                        // An error here includes a connection accepted
+                        // but never served.
+                        let Ok(response) = read_response(&mut BufReader::new(&stream)) else {
                             break;
-                        }
-                        if response.is_empty() {
-                            break; // connection accepted but never served
-                        }
+                        };
                         assert!(
-                            response.starts_with("HTTP/1.1 200")
-                                || response.starts_with("HTTP/1.1 503"),
+                            response.status == 200 || response.status == 503,
                             "unexpected response: {response:?}"
                         );
-                        if response.starts_with("HTTP/1.1 200") {
+                        if response.status == 200 {
                             completed += 1;
                         }
                     }
@@ -1552,16 +1659,12 @@ mod tests {
     #[test]
     fn deadline_and_shed_responses_carry_retry_after() {
         ahntp_telemetry::set_enabled(true);
-        let index = SharedIndex::new(toy_index(4));
         // Capacity-1 queue with no batcher: the first job is accepted but
         // never answered (deadline path), which leaves the queue full so
         // the second job is shed.
-        let queue = BatchQueue::new(1);
-        let traces = TraceRing::new(4);
         let ctx = RequestCtx {
-            index: &index,
-            queue: &queue,
-            traces: &traces,
+            index: Arc::new(SharedIndex::new(toy_index(4))),
+            queue: Arc::new(BatchQueue::new(1)),
             ingest: None,
             deadline: Duration::from_millis(20),
             retry_after: Duration::from_secs(2),
@@ -1583,14 +1686,11 @@ mod tests {
 
     #[test]
     fn healthz_bypasses_the_scoring_queue() {
-        let index = SharedIndex::new(toy_index(3));
-        let queue = BatchQueue::new(1);
+        let queue = Arc::new(BatchQueue::new(1));
         queue.stop(); // scoring is completely dead...
-        let traces = TraceRing::new(4);
         let ctx = RequestCtx {
-            index: &index,
-            queue: &queue,
-            traces: &traces,
+            index: Arc::new(SharedIndex::new(toy_index(3))),
+            queue,
             ingest: None,
             deadline: Duration::from_millis(5),
             retry_after: Duration::from_secs(1),
@@ -1620,27 +1720,8 @@ mod tests {
     ) -> (u16, Vec<(String, String)>, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(request.as_bytes()).unwrap();
-        let mut reader = BufReader::new(&mut stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line).unwrap();
-        let status: u16 = status_line.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let mut headers = Vec::new();
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            if line.trim_end().is_empty() {
-                break;
-            }
-            let (name, value) = line.split_once(':').expect("header line");
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap();
-            }
-            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).unwrap();
-        (status, headers, String::from_utf8(body).unwrap())
+        let response = read_response(&mut BufReader::new(&stream)).unwrap();
+        (response.status, response.headers.into_iter().collect(), response.body)
     }
 
     #[test]
@@ -1648,13 +1729,8 @@ mod tests {
         let server = start(4);
         let addr = server.addr();
         let body = r#"{"pairs":[[0,1]]}"#;
-        let (status, headers, _) = exchange_with_headers(
-            addr,
-            &format!(
-                "POST /score HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            ),
-        );
+        let request = format_request("POST", "/score", body, true);
+        let (status, headers, _) = exchange_with_headers(addr, &request);
         assert_eq!(status, 200);
         let trace_id = headers
             .iter()
@@ -1707,13 +1783,8 @@ mod tests {
             let want = kind.unwrap_or_default().name();
 
             let body = r#"{"pairs":[[0,1]]}"#;
-            let (status, headers, body) = exchange_with_headers(
-                addr,
-                &format!(
-                    "POST /score HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                ),
-            );
+            let request = format_request("POST", "/score", body, true);
+            let (status, headers, body) = exchange_with_headers(addr, &request);
             assert_eq!(status, 200, "{body}");
             let header = headers
                 .iter()
@@ -1881,13 +1952,7 @@ mod tests {
     }
 
     fn post_events(addr: SocketAddr, body: &str) -> (u16, String) {
-        exchange(
-            addr,
-            &format!(
-                "POST /events HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            ),
-        )
+        exchange(addr, &format_request("POST", "/events", body, true))
     }
 
     #[test]

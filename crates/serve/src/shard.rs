@@ -4,7 +4,7 @@
 //! [`crate::ServeConfig::shard_range`] set: it maps the **full** artifact
 //! (so `/score` answers any pair) but its `/topk` scans only the owned
 //! contiguous trustee range, always with the exact scalar arithmetic. The
-//! *front tier* started by [`serve_sharded`] discovers the shards through
+//! *front* started by [`serve_sharded`] discovers the shards through
 //! their `/healthz` (fingerprints must agree, ranges must partition
 //! `[0, n)`), then serves the same HTTP surface as a single node:
 //!
@@ -27,8 +27,18 @@
 //!   artifact, so live patches must land everywhere); the highest-status
 //!   reply wins, surfacing any shard's failure.
 //! * `GET /healthz` — aggregates shard health (`"ok"` / `"degraded"`),
-//!   `GET /metrics` serves the front's registry and
-//!   `GET /metrics/shards` fans out to the shards' registries.
+//!   and `GET /metrics/shards` fans out to the shards' registries.
+//!
+//! # One runtime
+//!
+//! The front is a role of the same server, not a server of its own: it
+//! runs on the runtime in [`crate::server`] (acceptor, worker pool,
+//! keep-alive loop) and contributes only the routes above, its `front.*`
+//! metric names, and the shards' backend for `X-Ahntp-Backend`. So it
+//! answers `/metrics`, `/metrics/prometheus`, `/debug/traces` and
+//! `/debug/trace.json` like a node, and [`serve_sharded`] returns a
+//! [`ServerHandle`]. Shard replies are read with the crate's one response
+//! parser, [`crate::http::read_response`].
 //!
 //! # Fault model
 //!
@@ -37,22 +47,32 @@
 //! partial top-k merge would be silently wrong, so the front never
 //! serves one. `tests/shard_chaos.rs` drives these paths.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io::{self, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Mutex;
+use std::time::Duration;
 
 use ahntp_telemetry::json::{parse, Json};
-use ahntp_telemetry::{
-    counter_add, debug, histogram_record, info, metrics_prometheus_text, metrics_snapshot_json,
-    warn,
+use ahntp_telemetry::{counter_add, info, warn};
+
+use crate::http::{format_request, read_response, Request};
+use crate::index::ScoreError;
+use crate::server::{
+    parse_pairs, start, topk_query, Names, Response, Role, ServeConfig, ServerHandle,
 };
 
-use crate::http::{read_request, write_response, write_response_with, HttpError, Request};
-use crate::index::ScoreError;
-use crate::server::{parse_pairs, Response, ServeConfig};
+/// A front's handle: a [`ServerHandle`] like any other server's.
+pub type ShardedHandle = ServerHandle;
+
+/// The front's names: distinct from a node's, because a front and its
+/// shards often share one process and so one metrics registry.
+const FRONT: Names = Names {
+    requests: "front.http.requests",
+    errors: "front.http.errors",
+    latency: "front.request.us",
+    log: "front",
+    access_log: "front.access",
+};
 
 /// One discovered shard: where it listens and which trustee ids it owns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,72 +146,26 @@ impl Front {
 ///
 /// Socket-level failures (connect/read/write, including the `shard.rpc`
 /// failpoint) — the caller maps these to a deterministic `503`.
-fn rpc(addr: SocketAddr, request: &[u8], timeout: Duration) -> io::Result<(u16, String)> {
+fn rpc(addr: SocketAddr, request: &str, timeout: Duration) -> io::Result<(u16, String)> {
     ahntp_faultz::failpoint!("shard.rpc");
     counter_add("front.rpc.calls", 1);
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(request)?;
-    writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad status line {status_line:?}"))
-        })?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof inside shard headers"));
-        }
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v
-                .trim()
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "shard body not UTF-8"))?;
-    Ok((status, body))
-}
-
-fn get_request(path: &str) -> Vec<u8> {
-    format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").into_bytes()
-}
-
-fn post_request(path: &str, body: &str) -> Vec<u8> {
-    format!(
-        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
+    stream.write_all(request.as_bytes())?;
+    let response = read_response(&mut BufReader::new(stream))?;
+    Ok((response.status, response.body))
 }
 
 /// Queries every shard in parallel; index `i` of the result pairs with
 /// `front.shards[i]`.
-fn fan_out(front: &Front, request: &[u8]) -> Vec<io::Result<(u16, String)>> {
+fn fan_out(front: &Front, request: &str) -> Vec<io::Result<(u16, String)>> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = front
             .shards
             .iter()
-            .map(|shard| {
-                let request = &request;
-                scope.spawn(move || rpc(shard.addr, request, front.rpc_timeout))
-            })
+            .map(|shard| scope.spawn(move || rpc(shard.addr, request, front.rpc_timeout)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("rpc thread panicked")).collect()
     })
@@ -258,8 +232,8 @@ fn front_score(req: &Request, front: &Front) -> Response {
                         ),
                     )])
                     .to_line();
-                    rpc(shard.addr, &post_request("/score", &body), front.rpc_timeout)
-                        .map(Some)
+                    let request = format_request("POST", "/score", &body, true);
+                    rpc(shard.addr, &request, front.rpc_timeout).map(Some)
                 })
             })
             .collect();
@@ -313,22 +287,12 @@ fn front_score(req: &Request, front: &Front) -> Response {
 /// `GET /topk` on the front: fan out to every shard, merge the per-shard
 /// candidate heaps under (score desc, user id asc), truncate to `k`.
 fn front_topk(req: &Request, front: &Front) -> Response {
-    let user = match req.query_usize("user") {
-        Ok(u) => u,
-        Err(m) => return Response::error(400, "Bad Request", &m),
+    let (user, k) = match topk_query(req) {
+        Ok(query) => query,
+        Err(resp) => return resp,
     };
-    let k = match req.query.get("k") {
-        Some(_) => match req.query_usize("k") {
-            Ok(k) => k,
-            Err(m) => return Response::error(400, "Bad Request", &m),
-        },
-        None => 10,
-    };
-    let path = match req.query.get("k") {
-        Some(_) => format!("/topk?user={user}&k={k}"),
-        None => format!("/topk?user={user}"),
-    };
-    let replies = fan_out(front, &get_request(&path));
+    let path = format!("/topk?user={user}&k={k}");
+    let replies = fan_out(front, &format_request("GET", &path, "", true));
     // (score f64, user id, the score's parsed Json for re-rendering).
     // f32→f64 is exact and the JSON renderer prints shortest-roundtrip
     // doubles, so sorting the parsed doubles and re-rendering them
@@ -397,7 +361,7 @@ fn front_swap(req: &Request, front: &Front) -> Response {
         Ok(t) => t,
         Err(_) => return Response::error(400, "Bad Request", "body is not UTF-8"),
     };
-    let request = post_request("/admin/swap", body);
+    let request = format_request("POST", "/admin/swap", body, true);
     let mut results = Vec::with_capacity(front.shards.len());
     for shard in &front.shards {
         let (status, reply) = match rpc(shard.addr, &request, front.rpc_timeout) {
@@ -439,7 +403,7 @@ fn front_events(req: &Request, front: &Front) -> Response {
         Ok(t) => t,
         Err(_) => return Response::error(400, "Bad Request", "body is not UTF-8"),
     };
-    let replies = fan_out(front, &post_request("/events", body));
+    let replies = fan_out(front, &format_request("POST", "/events", body, true));
     let mut worst: Option<(u16, String)> = None;
     for (shard, reply) in front.shards.iter().zip(replies) {
         let (status, body) = match reply {
@@ -458,7 +422,7 @@ fn front_events(req: &Request, front: &Front) -> Response {
 /// the front itself is alive — with `"status": "degraded"` when any
 /// shard is down.
 fn front_healthz(front: &Front) -> Response {
-    let replies = fan_out(front, &get_request("/healthz"));
+    let replies = fan_out(front, &format_request("GET", "/healthz", "", true));
     let mut all_ok = true;
     let shards: Vec<Json> = front
         .shards
@@ -502,7 +466,7 @@ fn front_healthz(front: &Front) -> Response {
 
 /// `GET /metrics/shards`: every shard's metrics registry, labeled.
 fn front_shard_metrics(front: &Front) -> Response {
-    let replies = fan_out(front, &get_request("/metrics"));
+    let replies = fan_out(front, &format_request("GET", "/metrics", "", true));
     let shards: Vec<Json> = front
         .shards
         .iter()
@@ -570,81 +534,17 @@ fn front_route(req: &Request, front: &Front) -> Response {
         ("POST", "/admin/swap") => front_swap(req, front),
         ("POST", "/events") => front_events(req, front),
         ("GET", "/healthz") => front_healthz(front),
-        ("GET", "/metrics") => match req.query.get("format").map(String::as_str) {
-            Some("prometheus") => {
-                Response::text("text/plain; version=0.0.4", metrics_prometheus_text())
-            }
-            Some(other) => Response::error(
-                400,
-                "Bad Request",
-                &format!("unknown metrics format {other:?} (try \"prometheus\")"),
-            ),
-            None => Response::new(200, "OK", metrics_snapshot_json()),
-        },
-        ("GET", "/metrics/prometheus") => {
-            Response::text("text/plain; version=0.0.4", metrics_prometheus_text())
-        }
         ("GET", "/metrics/shards") => front_shard_metrics(front),
-        (_, "/score") | (_, "/topk") | (_, "/admin/swap") | (_, "/events") | (_, "/healthz")
-        | (_, "/metrics") | (_, "/metrics/prometheus") | (_, "/metrics/shards") => {
+        (_, "/score" | "/topk" | "/admin/swap" | "/events" | "/healthz" | "/metrics/shards") => {
             Response::error(405, "Method Not Allowed", "method not allowed")
         }
         _ => Response::error(404, "Not Found", "no such endpoint"),
     }
 }
 
-/// Handle to a running scatter-gather front. Dropping it shuts the front
-/// down (the shard servers it talks to are owned by their own
-/// [`crate::ServerHandle`]s and are not touched).
-pub struct ShardedHandle {
-    addr: SocketAddr,
-    shards: Vec<ShardInfo>,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ShardedHandle {
-    /// The front tier's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The discovered shard layout, sorted by range.
-    pub fn shards(&self) -> &[ShardInfo] {
-        &self.shards
-    }
-
-    /// Graceful shutdown: stops accepting, finishes in-flight requests,
-    /// joins every thread. Shard servers keep running.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.acceptor.take() {
-            let _ = t.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-        info!("front", "front on {} stopped", self.addr);
-    }
-}
-
-impl Drop for ShardedHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 /// Discovers one shard through its `/healthz`.
 fn discover(addr: SocketAddr, timeout: Duration) -> io::Result<(ShardInfo, Json)> {
-    let (status, body) = rpc(addr, &get_request("/healthz"), timeout)?;
+    let (status, body) = rpc(addr, &format_request("GET", "/healthz", "", true), timeout)?;
     if status != 200 {
         return Err(io::Error::other(format!("shard {addr} /healthz answered {status}")));
     }
@@ -667,14 +567,15 @@ fn discover(addr: SocketAddr, timeout: Duration) -> io::Result<(ShardInfo, Json)
 /// whose shards could disagree on a single byte of a response is refused
 /// before it serves anything.
 ///
-/// Front-specific [`ServeConfig`] knobs: `addr`, `workers`,
-/// `read_timeout`, `retry_after`, and `deadline` (the per-RPC timeout to
-/// a shard). Batcher knobs are unused — the front does not score.
+/// The [`ServeConfig`] knobs a front uses: `addr`, `workers`,
+/// `read_timeout`, `retry_after`, `trace_ring`, and `deadline` (which
+/// also bounds each RPC to a shard). Scoring knobs are unused — the front
+/// does not score.
 ///
 /// # Errors
 ///
 /// Binding failures, unreachable shards, and layout validation failures.
-pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<ShardedHandle> {
+pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<ServerHandle> {
     if shards.is_empty() {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "no shards given"));
     }
@@ -736,7 +637,7 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
         ));
     }
 
-    let front = Arc::new(Front {
+    let front = Front {
         shards: layout,
         n_users,
         model,
@@ -746,155 +647,25 @@ pub fn serve_sharded(shards: &[SocketAddr], config: &ServeConfig) -> io::Result<
         rpc_timeout,
         retry_after: config.retry_after,
         swap_lock: Mutex::new(()),
-    });
-
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (conn_tx, conn_rx) = std::sync::mpsc::channel::<TcpStream>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if conn_tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    warn!("front", "accept failed: {e}");
-                }
-            }
-        })
     };
-
-    let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|_| {
-            let conn_rx = Arc::clone(&conn_rx);
-            let front = Arc::clone(&front);
-            let shutdown = Arc::clone(&shutdown);
-            let read_timeout = config.read_timeout;
-            std::thread::spawn(move || loop {
-                let stream = match conn_rx.lock().unwrap().recv() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                };
-                if let Err(e) = front_connection(stream, &front, &shutdown, read_timeout) {
-                    warn!("front", "connection dropped: {e}");
-                }
-            })
-        })
-        .collect();
-
-    info!(
-        "front",
-        "scatter-gather front on {addr} over {} shards ({} users, {} backend)",
+    let summary = format!(
+        "over {} shards ({} users, {} backend)",
         front.shards.len(),
         front.n_users,
         front.backend
     );
-    Ok(ShardedHandle {
-        addr,
-        shards: front.shards.clone(),
-        shutdown,
-        acceptor: Some(acceptor),
-        workers,
-    })
-}
-
-/// The front's keep-alive connection loop — the same shape as the shard
-/// servers' ([`crate::server`]) minus the trace ring and batch queue.
-fn front_connection(
-    stream: TcpStream,
-    front: &Front,
-    shutdown: &AtomicBool,
-    read_timeout: Duration,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(req)) => {
-                let started = Instant::now();
-                counter_add("front.http.requests", 1);
-                let trace_id = ahntp_telemetry::next_trace_id();
-                let resp = {
-                    let _scope = ahntp_telemetry::set_trace_id_scope(trace_id);
-                    front_route(&req, front)
-                };
-                if resp.status >= 400 {
-                    counter_add("front.http.errors", 1);
-                }
-                let mut headers: Vec<(&str, String)> = vec![
-                    ("X-Ahntp-Trace-Id", format!("{trace_id:016x}")),
-                    ("X-Ahntp-Backend", front.backend.clone()),
-                ];
-                if let Some(secs) = resp.retry_after {
-                    headers.push(("Retry-After", secs.to_string()));
-                }
-                let keep_alive = !req.wants_close() && !shutdown.load(Ordering::SeqCst);
-                let (content_type, body) = match resp.text {
-                    Some((ct, text)) => (ct, text.into_bytes()),
-                    None => ("application/json", resp.body.to_line().into_bytes()),
-                };
-                write_response_with(
-                    &mut writer,
-                    resp.status,
-                    resp.reason,
-                    content_type,
-                    &headers,
-                    &body,
-                    keep_alive,
-                )?;
-                let us = started.elapsed().as_micros() as u64;
-                histogram_record("front.request.us", us);
-                debug!(
-                    "front.access",
-                    "{} {} {} {us}us trace={trace_id:016x}",
-                    req.method,
-                    req.path,
-                    resp.status
-                );
-                if !keep_alive {
-                    return Ok(());
-                }
-            }
-            Ok(None) => return Ok(()),
-            Err(HttpError::Io(e))
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(HttpError::Io(e)) => return Err(e),
-            Err(HttpError::BadRequest(m)) => {
-                counter_add("front.http.errors", 1);
-                let body = Json::obj([("error", Json::from(m.as_str()))]).to_line();
-                write_response(&mut writer, 400, "Bad Request", "application/json",
-                    body.as_bytes(), false)?;
-                return Ok(());
-            }
-            Err(HttpError::TooLarge) => {
-                counter_add("front.http.errors", 1);
-                let body = Json::obj([("error", Json::from("body too large"))]).to_line();
-                write_response(&mut writer, 413, "Payload Too Large", "application/json",
-                    body.as_bytes(), false)?;
-                return Ok(());
-            }
-        }
-        writer.flush()?;
-    }
+    let role = Role {
+        names: &FRONT,
+        backend: front.backend.clone(),
+        routes: Box::new(move |req, _, _| front_route(req, &front)),
+    };
+    let handle = start(role, config)?;
+    info!(
+        "front",
+        "scatter-gather front on {} {summary}",
+        handle.addr()
+    );
+    Ok(handle)
 }
 
 #[cfg(test)]

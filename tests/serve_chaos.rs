@@ -12,10 +12,11 @@
 
 use ahntp_bench::loadgen::{http_request, run_load, LoadConfig};
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
+use ahntp_serve::http::{format_request, read_response};
 use ahntp_serve::{serve, ServeConfig, ServerHandle, TrustIndex};
 use ahntp_telemetry::json::{parse, Json};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -62,42 +63,12 @@ fn start(deadline: Duration) -> ServerHandle {
 fn exchange(addr: SocketAddr, request: &str) -> (u16, BTreeMap<String, String>, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(request.as_bytes()).expect("send");
-    let mut reader = BufReader::new(&mut stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut headers = BTreeMap::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-        }
-    }
-    let len: usize = headers
-        .get("content-length")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).expect("body");
-    (status, headers, String::from_utf8(body).expect("utf-8 body"))
+    let response = read_response(&mut BufReader::new(&stream)).expect("response");
+    (response.status, response.headers, response.body)
 }
 
 fn post_score(addr: SocketAddr, body: &str) -> (u16, BTreeMap<String, String>, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST /score HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    exchange(addr, &format_request("POST", "/score", body, true))
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, BTreeMap<String, String>, String) {
@@ -300,5 +271,108 @@ fn loadgen_under_injected_delay_answers_every_request() {
     let (status, body) = http_request(&mut conn, "POST", "/score", r#"{"pairs":[[1,2]]}"#)
         .expect("clean request");
     assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+/// A request head split by a pause longer than the read-timeout tick is
+/// still one request: the tick only polls idle connections, and never
+/// discards the bytes of a request in progress.
+#[test]
+fn a_head_split_across_read_timeout_ticks_is_answered() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let server = start(Duration::from_secs(2));
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\n")
+        .expect("first half");
+    std::thread::sleep(Duration::from_millis(150));
+    stream
+        .write_all(b"Connection: close\r\n\r\n")
+        .expect("second half");
+    let response = read_response(&mut BufReader::new(&stream)).expect("response");
+    assert_eq!(response.status, 200, "{}", response.body);
+    server.shutdown();
+}
+
+/// A drip-fed head ("slowloris") holds its worker only until the
+/// deadline: the connection is cut within the deadline plus one
+/// read-timeout tick, and the next client of a one-worker server is
+/// answered after that.
+#[test]
+fn a_drip_fed_head_is_cut_off_at_the_deadline() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let deadline = Duration::from_millis(300);
+    let config = ServeConfig {
+        workers: 1,
+        deadline,
+        ..ServeConfig::default()
+    };
+    let server = serve(toy_index(), &config).expect("bind loopback");
+    let addr = server.addr();
+
+    let mut slow = TcpStream::connect(addr).expect("connect");
+    slow.set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("client timeout");
+    slow.write_all(b"GET /healthz HTTP/1.1\r\nX-Drip: ")
+        .expect("head start");
+    let started = Instant::now();
+    let next = std::thread::spawn(move || {
+        let (status, _, _) = get(addr, "/healthz");
+        (status, started.elapsed())
+    });
+    // One byte per client tick until the server hangs up (EOF or reset),
+    // giving up after 3 s.
+    let cut = loop {
+        if started.elapsed() > Duration::from_secs(3) {
+            break None;
+        }
+        match slow.read(&mut [0u8; 1]) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            _ => break Some(started.elapsed()),
+        }
+        if slow.write_all(b"a").is_err() {
+            break Some(started.elapsed());
+        }
+    };
+    drop(slow);
+    let cut = cut.expect("the drip-fed connection was never cut off");
+    let bound = deadline + config.read_timeout + Duration::from_millis(250);
+    assert!(cut <= bound, "cut off after {cut:?}, bound {bound:?}");
+    let (status, answered) = next.join().expect("second client");
+    assert_eq!(status, 200);
+    assert!(
+        answered <= cut + Duration::from_secs(1),
+        "second client answered {answered:?} in, cut off at {cut:?}"
+    );
+    server.shutdown();
+}
+
+/// Idle keep-alive connections do not pin workers: with both workers of
+/// the server holding an idle client, a third client is still answered
+/// within a second.
+#[test]
+fn idle_keep_alive_clients_yield_their_workers() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let server = start(Duration::from_secs(2));
+    let addr = server.addr();
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            let (status, body) = http_request(&mut conn, "GET", "/healthz", "").expect("healthz");
+            assert_eq!(status, 200, "{body}");
+            conn
+        })
+        .collect();
+    let mut third = TcpStream::connect(addr).expect("connect");
+    third
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("client timeout");
+    third
+        .write_all(format_request("GET", "/healthz", "", true).as_bytes())
+        .expect("send");
+    let response =
+        read_response(&mut BufReader::new(&third)).expect("third client answered within 1 s");
+    assert_eq!(response.status, 200, "{}", response.body);
+    drop(idle);
     server.shutdown();
 }

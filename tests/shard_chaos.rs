@@ -15,11 +15,12 @@
 
 use ahntp_faultz::{self as faultz, Action, FaultSpec};
 use ahntp_nn::TrustArtifact;
+use ahntp_serve::http::{format_request, read_response};
 use ahntp_serve::{
     serve, serve_sharded, shard_ranges, BackendKind, ServeConfig, ServerHandle, ShardedHandle,
     TrustIndex,
 };
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
@@ -85,33 +86,8 @@ fn write_v2(a: &TrustArtifact, tag: &str) -> PathBuf {
 fn exchange(addr: SocketAddr, request: &str) -> (u16, Vec<(String, String)>, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(request.as_bytes()).expect("send");
-    let mut reader = BufReader::new(&mut stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut headers = Vec::new();
-    let mut len = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let (name, value) = (name.trim().to_ascii_lowercase(), value.trim().to_string());
-            if name == "content-length" {
-                len = value.parse().expect("content-length");
-            }
-            headers.push((name, value));
-        }
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).expect("body");
-    (status, headers, String::from_utf8(body).expect("utf-8 body"))
+    let response = read_response(&mut BufReader::new(&stream)).expect("response");
+    (response.status, response.headers.into_iter().collect(), response.body)
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, Vec<(String, String)>, String) {
@@ -119,13 +95,7 @@ fn get(addr: SocketAddr, path: &str) -> (u16, Vec<(String, String)>, String) {
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, Vec<(String, String)>, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    exchange(addr, &format_request("POST", path, body, true))
 }
 
 fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {

@@ -10,13 +10,14 @@
 //! silently reorder ties.
 
 use ahntp_nn::TrustArtifact;
+use ahntp_serve::http::{format_request, read_response};
 use ahntp_serve::{
     serve, serve_sharded, shard_ranges, BackendKind, ServeConfig, ServerHandle, ShardedHandle,
     TrustIndex,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
 const N_USERS: usize = 24;
@@ -78,28 +79,8 @@ fn start_cluster(
 fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(request.as_bytes()).expect("send");
-    let mut reader = BufReader::new(&mut stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut len = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            len = v.trim().parse().expect("content-length");
-        }
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf-8 body"))
+    let response = read_response(&mut BufReader::new(&stream)).expect("response");
+    (response.status, response.body)
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -107,13 +88,7 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    exchange(addr, &format_request("POST", path, body, true))
 }
 
 /// Pairs that hit every shard of every layout the sweep uses, plus
