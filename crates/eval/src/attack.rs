@@ -195,6 +195,8 @@ pub fn evaluate_under_attack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GATE;
+    use std::sync::PoisonError;
 
     fn pairs(trustees: &[usize]) -> Vec<LabeledPair> {
         trustees
@@ -290,6 +292,7 @@ mod tests {
 
     #[test]
     fn evaluate_under_attack_reports_sweep() {
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let table: std::collections::HashMap<usize, f32> =
             [(0, 0.4), (1, 0.4), (2, 0.9), (3, 0.9)].into();
         let mut clean = FixedModel { table: table.clone() };

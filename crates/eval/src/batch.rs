@@ -156,7 +156,8 @@ pub fn train_and_evaluate_minibatch_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train_and_evaluate;
+    use crate::{train_and_evaluate, GATE};
+    use std::sync::PoisonError;
 
     fn pairs(n: usize) -> Vec<LabeledPair> {
         (0..n)
@@ -245,6 +246,7 @@ mod tests {
 
     #[test]
     fn minibatch_loop_feeds_one_plan_per_epoch() {
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let tr = pairs(10);
         let te = pairs(4);
         let mut m = PlanProbe {
@@ -273,6 +275,7 @@ mod tests {
 
     #[test]
     fn exact_minibatch_report_matches_full_batch() {
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         // Same deterministic fake loss sequence through both entry points:
         // the shared loop must produce byte-identical reports.
         let tr = pairs(6);

@@ -372,13 +372,9 @@ pub fn train_and_evaluate_minibatch_resumable_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train_and_evaluate;
+    use crate::{train_and_evaluate, GATE};
     use ahntp_faultz::{scoped, Action, FaultSpec};
-    use std::sync::{Mutex, PoisonError};
-
-    /// The process-global failpoint registry forces failpoint-using tests
-    /// in one binary to run serially.
-    static GATE: Mutex<()> = Mutex::new(());
+    use std::sync::PoisonError;
 
     /// A deterministic fake model: epoch `k` (1-based internal step) yields
     /// loss `1/step`, and the full state is just the step counter — enough

@@ -31,3 +31,9 @@ pub use trainer::{
     train_and_evaluate, train_and_evaluate_observed, EpochStats, EvalReport, LedgerObserver,
     NoopObserver, TrainConfig, TrainObserver, TrustModel,
 };
+
+/// The process-global failpoint registry forces the unit tests that run a
+/// training loop (each epoch passes the `train.epoch` failpoint) to run
+/// serially with the one that arms it.
+#[cfg(test)]
+static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -11,12 +11,14 @@
 //!   [`TrustIndex::top_k_trustees`] ranks candidates with a bounded heap
 //!   over one row scan.
 //! * [`serve`] — a zero-dependency HTTP/1.1 server on
-//!   `std::net::TcpListener`: a fixed worker pool, a bounded micro-batch
-//!   queue that coalesces concurrent `POST /score` requests for the
-//!   batcher thread, and cooperative graceful shutdown that finishes
-//!   in-flight requests. Endpoints: `POST /score`, `GET /topk`,
-//!   `GET /healthz`, `GET /metrics` (all JSON, via
-//!   `ahntp_telemetry::json`), plus the observability surface below.
+//!   `std::net::TcpListener`: a fixed worker pool, a bounded queue of
+//!   `POST /score` jobs for the batcher thread, which scores what is
+//!   queued at wake-up (a lone request never waits for company; requests
+//!   that arrive while a batch is scored share the next one), and
+//!   cooperative graceful shutdown that finishes in-flight requests.
+//!   Endpoints: `POST /score`, `GET /topk`, `GET /healthz`,
+//!   `GET /metrics` (all JSON, via `ahntp_telemetry::json`), plus the
+//!   observability surface below.
 //! * [`serve_live`] — the same server bound to a mutable
 //!   [`ahntp_stream::LiveTrustModel`]: `POST /events` ingests trust
 //!   events (add/remove/reweight/decay hyperedges), a dedicated applier

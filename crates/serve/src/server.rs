@@ -24,8 +24,11 @@
 //! with a trace id, and records every request in the trace ring.
 //!
 //! Workers parse HTTP and answer `GET` endpoints directly; `POST /score`
-//! jobs go through the batch queue so concurrent clients share index
-//! scans. Shutdown is cooperative: a flag flip plus one self-connection
+//! jobs go through the batch queue to the batcher thread, which scores
+//! what is queued at wake-up: it never waits for a batch to fill, so a
+//! lone request is scored at once, and jobs that arrive while a batch is
+//! being scored share the next one (up to [`ServeConfig::max_batch`]
+//! pairs). Shutdown is cooperative: a flag flip plus one self-connection
 //! unblocks the acceptor, workers finish their in-flight requests, and
 //! the batcher drains the queue before exiting — no request is dropped.
 //!
@@ -115,10 +118,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// HTTP worker threads.
     pub workers: usize,
-    /// Maximum pairs scored per batcher wake-up.
+    /// Maximum pairs in one scoring batch. Batches hold whole jobs, so a
+    /// single larger job is scored in a batch of its own.
     pub max_batch: usize,
-    /// How long the batcher waits for more jobs once it has one.
-    pub batch_wait: Duration,
     /// Maximum queued scoring jobs before `POST /score` answers 503.
     pub queue_capacity: usize,
     /// Socket read timeout: the idle tick of the connection loop. It
@@ -177,7 +179,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             max_batch: 64,
-            batch_wait: Duration::from_millis(2),
             queue_capacity: 1024,
             read_timeout: Duration::from_millis(50),
             threads: 0,
@@ -334,35 +335,18 @@ impl BatchQueue {
         self.state.lock().unwrap().stopped = true;
         self.cond.notify_all();
     }
-}
 
-/// The batcher loop: sleep until work arrives, linger `batch_wait` to let
-/// a batch form, drain up to `max_batch` pairs, score, reply.
-fn run_batcher(queue: &BatchQueue, index: &SharedIndex, max_batch: usize, batch_wait: Duration) {
-    loop {
-        let mut state = queue.state.lock().unwrap();
+    /// Blocks until a job is queued or the queue is stopped, then drains
+    /// whole jobs in FIFO order until the next one would take the batch
+    /// past `max_batch` pairs (the first job always goes in, so one
+    /// oversize job forms a batch of its own). There is no timed wait:
+    /// jobs that arrive while a batch is being scored coalesce into the
+    /// next one. `None` once the queue is stopped and empty.
+    fn next_batch(&self, max_batch: usize) -> Option<Vec<ScoreJob>> {
+        let mut state = self.state.lock().unwrap();
         while state.jobs.is_empty() && !state.stopped {
-            state = queue.cond.wait(state).unwrap();
+            state = self.cond.wait(state).unwrap();
         }
-        if state.jobs.is_empty() && state.stopped {
-            return; // drained and told to stop
-        }
-        // Linger briefly so concurrent clients coalesce into one batch —
-        // unless we're already full or shutting down.
-        let deadline = Instant::now() + batch_wait;
-        loop {
-            let queued: usize = state.jobs.iter().map(|j| j.pairs.len()).sum();
-            if queued >= max_batch || state.stopped {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (next, _timeout) = queue.cond.wait_timeout(state, deadline - now).unwrap();
-            state = next;
-        }
-        // Drain whole jobs until the batch is full (always at least one).
         let mut batch: Vec<ScoreJob> = Vec::new();
         let mut batch_pairs = 0usize;
         while let Some(job) = state.jobs.front() {
@@ -373,8 +357,15 @@ fn run_batcher(queue: &BatchQueue, index: &SharedIndex, max_batch: usize, batch_
             batch.push(state.jobs.pop_front().unwrap());
         }
         gauge_set("serve.queue.depth", state.jobs.len() as f64);
-        drop(state);
+        (!batch.is_empty()).then_some(batch) // empty: drained and told to stop
+    }
+}
 
+/// The batcher loop: score whatever is queued at wake-up, reply, repeat,
+/// until the queue is stopped and drained.
+fn run_batcher(queue: &BatchQueue, index: &SharedIndex, max_batch: usize) {
+    while let Some(batch) = queue.next_batch(max_batch) {
+        let batch_pairs: usize = batch.iter().map(|j| j.pairs.len()).sum();
         // Pin one index version for the whole batch: the read guard keeps
         // the live applier's write lock out until every job is answered,
         // so a coalesced batch never sees a half-applied patch.
@@ -755,10 +746,10 @@ fn serve_shared(
             config.workers.max(1),
         );
     }
-    let (max_batch, batch_wait) = (config.max_batch.max(1), config.batch_wait);
+    let max_batch = config.max_batch.max(1);
     let batcher = {
         let queue = Arc::clone(&queue);
-        std::thread::spawn(move || run_batcher(&queue, &index, max_batch, batch_wait))
+        std::thread::spawn(move || run_batcher(&queue, &index, max_batch))
     };
     handle.batcher = Some((queue, batcher));
     handle.applier = live;
@@ -1644,6 +1635,124 @@ mod tests {
         queue.stop();
         let (tx, _rx) = mpsc::channel();
         assert!(!queue.push(ScoreJob { pairs: vec![(0, 0)], trace_id: 1, reply: tx }));
+    }
+
+    /// Queues one job per pair list (trace ids 1, 2, ... in order) and
+    /// stops the queue, so a batcher run afterwards drains it and exits:
+    /// no timing is involved.
+    fn stopped_queue(jobs: &[&[(usize, usize)]]) -> (BatchQueue, Vec<mpsc::Receiver<ScoreReply>>) {
+        let queue = BatchQueue::new(jobs.len());
+        let replies = (1..)
+            .zip(jobs)
+            .map(|(trace_id, pairs)| {
+                let (reply, rx) = mpsc::channel();
+                assert!(queue.push(ScoreJob {
+                    pairs: pairs.to_vec(),
+                    trace_id,
+                    reply
+                }));
+                rx
+            })
+            .collect();
+        queue.stop();
+        (queue, replies)
+    }
+
+    /// The trace ids of each batch the queue hands the batcher.
+    fn batches(queue: &BatchQueue, max_batch: usize) -> Vec<Vec<u64>> {
+        std::iter::from_fn(|| queue.next_batch(max_batch))
+            .map(|batch| batch.iter().map(|job| job.trace_id).collect())
+            .collect()
+    }
+
+    /// Runs the batcher over `jobs` on `toy_index(n_users)` and returns
+    /// each job's answer, checked to have arrived before the batcher
+    /// exited.
+    fn run_to_completion(
+        n_users: usize,
+        jobs: &[&[(usize, usize)]],
+        max_batch: usize,
+    ) -> Vec<Result<Vec<f32>, ScoreError>> {
+        let (queue, replies) = stopped_queue(jobs);
+        let index = SharedIndex::new(toy_index(n_users));
+        std::thread::scope(|s| {
+            s.spawn(|| run_batcher(&queue, &index, max_batch));
+        });
+        replies
+            .iter()
+            .map(|rx| {
+                rx.try_recv()
+                    .expect("answered before the batcher exited")
+                    .result
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_batcher_coalesces_whole_jobs_up_to_max_batch_in_fifo_order() {
+        let jobs: [&[(usize, usize)]; 4] = [
+            &[(0, 1), (1, 2), (2, 3)],
+            &[(3, 4), (4, 5)],
+            &[(5, 0)],
+            &[(1, 1), (2, 2)],
+        ];
+        // 3 + 2 pairs fill a batch of 5; the next job would make it 6.
+        let (queue, _replies) = stopped_queue(&jobs);
+        assert_eq!(batches(&queue, 5), vec![vec![1, 2], vec![3, 4]]);
+        let index = toy_index(6);
+        let answers = run_to_completion(6, &jobs, 5);
+        for (pairs, answer) in jobs.iter().zip(answers) {
+            assert_eq!(answer, index.score_pairs(pairs));
+        }
+    }
+
+    #[test]
+    fn a_job_larger_than_max_batch_is_scored_alone() {
+        let big: &[(usize, usize)] = &[(0, 1), (1, 2), (2, 3), (3, 4)];
+        let jobs: [&[(usize, usize)]; 3] = [&[(0, 0)], big, &[(1, 0)]];
+        let (queue, _replies) = stopped_queue(&jobs);
+        assert_eq!(batches(&queue, 2), vec![vec![1], vec![2], vec![3]]);
+        let index = toy_index(5);
+        let answers = run_to_completion(5, &jobs, 2);
+        assert_eq!(answers[1], index.score_pairs(big));
+        assert_eq!(answers[1].as_ref().map(Vec::len), Ok(4));
+    }
+
+    #[test]
+    fn stop_with_jobs_queued_answers_every_job_before_the_batcher_exits() {
+        let pairs: Vec<[(usize, usize); 2]> = (0..20)
+            .map(|i| [(i % 7, (i + 3) % 7), (i % 5, i % 7)])
+            .collect();
+        let jobs: Vec<&[(usize, usize)]> = pairs.iter().map(|p| p.as_slice()).collect();
+        let index = toy_index(7);
+        let answers = run_to_completion(7, &jobs, 8);
+        assert_eq!(answers.len(), 20);
+        for (pairs, answer) in jobs.iter().zip(answers) {
+            assert_eq!(answer, index.score_pairs(pairs));
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_id_errors_only_its_own_job() {
+        let jobs: [&[(usize, usize)]; 3] = [&[(0, 1)], &[(0, 99)], &[(2, 3), (3, 1)]];
+        let (queue, _replies) = stopped_queue(&jobs);
+        assert_eq!(
+            batches(&queue, 64),
+            vec![vec![1, 2, 3]],
+            "one coalesced batch"
+        );
+        let index = toy_index(4);
+        let answers = run_to_completion(4, &jobs, 64);
+        assert_eq!(answers[0], index.score_pairs(jobs[0]));
+        assert_eq!(
+            answers[1],
+            Err(ScoreError::UserOutOfRange {
+                user: 99,
+                n_users: 4
+            })
+        );
+        assert_eq!(answers[2], index.score_pairs(jobs[2]));
+        assert!(answers[0].is_ok() && answers[2].is_ok());
     }
 
     fn score_request() -> Request {

@@ -530,10 +530,12 @@ fn parse_event((i, entry): (usize, &Json)) -> Result<TrustEvent, String> {
 mod tests {
     use super::*;
     use ahntp_faultz::{Action, FaultSpec};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, PoisonError};
 
-    /// Serialises tests that arm global failpoints.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
+    /// Failpoints are process-global: the test that arms `stream.apply` /
+    /// `stream.refresh` and every test that drives an applier through
+    /// those sites serialize on this gate.
+    static GATE: Mutex<()> = Mutex::new(());
 
     /// A scripted model: event k dirties users `k % n` and `(k + 1) % n`;
     /// refresh writes a recognizable constant into each requested row.
@@ -612,6 +614,7 @@ mod tests {
 
     #[test]
     fn immediate_bound_refreshes_after_every_dirtying_event() {
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::immediate());
         let applied = applier.apply(&add(&[1, 3])).unwrap();
         assert_eq!(applied.affected_users, vec![1, 3]);
@@ -625,6 +628,7 @@ mod tests {
 
     #[test]
     fn weight_only_events_dirty_nobody_but_still_clear_pending() {
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::immediate());
         applier.apply(&TrustEvent::Decay { factor: 0.9 }).unwrap();
         assert_eq!(applier.pending_events(), 1);
@@ -636,6 +640,7 @@ mod tests {
 
     #[test]
     fn batched_bound_accumulates_until_exceeded() {
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::batched(3));
         for k in 0..3 {
             applier.apply(&add(&[k])).unwrap();
@@ -652,6 +657,7 @@ mod tests {
 
     #[test]
     fn invalid_event_is_rejected_without_dirtying() {
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let mut applier = EventApplier::new(MockModel::new(4), StalenessBound::immediate());
         let err = applier.apply(&add(&[9])).unwrap_err();
         assert!(matches!(err, StreamError::Hypergraph(_)), "{err}");
@@ -661,6 +667,7 @@ mod tests {
 
     #[test]
     fn box_dyn_models_fold_through_the_applier() {
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let model: Box<dyn LiveTrustModel> = Box::new(MockModel::new(8));
         let mut applier = EventApplier::new(model, StalenessBound::immediate());
         applier.apply(&add(&[2])).unwrap();
@@ -671,7 +678,7 @@ mod tests {
 
     #[test]
     fn apply_failpoint_rejects_before_mutation_and_refresh_failpoint_keeps_dirty() {
-        let _guard = FAULT_LOCK.lock().unwrap();
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let mut applier = EventApplier::new(MockModel::new(8), StalenessBound::batched(100));
         applier.apply(&add(&[1])).unwrap();
 

@@ -155,6 +155,7 @@ mod tests {
     use crate::json::parse;
     use crate::metrics::counter_add;
     use crate::set_enabled;
+    use std::sync::PoisonError;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -167,6 +168,7 @@ mod tests {
 
     #[test]
     fn ledger_round_trips_through_the_parser() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(true);
         let dir = temp_dir("roundtrip");
         let mut ledger = RunLedger::create_in(

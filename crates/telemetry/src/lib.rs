@@ -116,12 +116,21 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// The enabled switch is process-global: unit tests that turn it off
+/// serialize on this gate with the tests that record metrics and assert
+/// what landed, so a recording never falls into another test's "off"
+/// window.
+#[cfg(test)]
+static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     #[test]
     fn toggling_enabled_is_visible() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let before = enabled();
         set_enabled(true);
         assert!(enabled());

@@ -340,9 +340,11 @@ pub fn metrics_reset() {
 mod tests {
     use super::*;
     use crate::set_enabled;
+    use std::sync::PoisonError;
 
     #[test]
     fn counters_sum_across_threads() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(true);
         let name = "test.concurrent.counter";
         let threads: Vec<_> = (0..8)
@@ -362,6 +364,7 @@ mod tests {
 
     #[test]
     fn gauges_keep_latest() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(true);
         gauge_set("test.gauge", 1.5);
         gauge_set("test.gauge", -2.25);
@@ -371,6 +374,7 @@ mod tests {
 
     #[test]
     fn histogram_summary_statistics() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(true);
         let name = "test.histo";
         for v in [1u64, 2, 3, 100] {
@@ -413,6 +417,7 @@ mod tests {
 
     #[test]
     fn quantiles_track_exact_percentiles_within_one_bucket() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(true);
         // A latency-shaped sample: bulk around 300–800µs, a 1% tail at
         // ~20ms. A flat log2 sketch reports p99 = 1023 for this shape
@@ -447,6 +452,7 @@ mod tests {
 
     #[test]
     fn disabled_updates_are_dropped() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(false);
         counter_add("test.disabled.counter", 10);
         set_enabled(true);

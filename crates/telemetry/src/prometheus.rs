@@ -75,6 +75,7 @@ mod tests {
     use super::*;
     use crate::metrics::{counter_add, gauge_set, histogram_record};
     use crate::set_enabled;
+    use std::sync::PoisonError;
 
     #[test]
     fn names_are_sanitized() {
@@ -126,6 +127,7 @@ mod tests {
 
     #[test]
     fn exposition_parses_and_carries_all_three_kinds() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(true);
         counter_add("test.prom.counter", 7);
         gauge_set("test.prom.gauge", -1.5);

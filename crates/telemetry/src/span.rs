@@ -76,9 +76,11 @@ mod tests {
     use super::*;
     use crate::metrics::{metrics_snapshot, MetricValue};
     use crate::set_enabled;
+    use std::sync::PoisonError;
 
     #[test]
     fn span_times_are_monotone_with_work() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(true);
         let short = {
             let g = SpanGuard::enter("test_span_short");
@@ -105,6 +107,7 @@ mod tests {
 
     #[test]
     fn disabled_span_is_inert() {
+        let _gate = crate::GATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_enabled(false);
         let g = SpanGuard::enter("test_span_disabled");
         std::thread::sleep(std::time::Duration::from_millis(1));

@@ -376,3 +376,47 @@ fn idle_keep_alive_clients_yield_their_workers() {
     drop(idle);
     server.shutdown();
 }
+
+/// A lone request is scored as soon as the batcher wakes: on an idle
+/// node, 20 sequential one-pair `/score` requests over one keep-alive
+/// connection spend a median of well under a millisecond in the batch
+/// queue (`serve.queue.wait` in `/debug/traces`), so no request waits for
+/// company that never comes.
+#[test]
+fn a_lone_request_does_not_linger_in_the_batch_queue() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    ahntp_telemetry::set_enabled(true);
+    let server = serve(toy_index(), &ServeConfig::default()).expect("bind loopback");
+    let addr = server.addr();
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    for i in 0..20 {
+        let body = format!(r#"{{"pairs":[[{},{}]]}}"#, i % N_USERS, (i + 5) % N_USERS);
+        let (status, body) = http_request(&mut conn, "POST", "/score", &body).expect("score");
+        assert_eq!(status, 200, "{body}");
+    }
+    let (status, _, body) = get(addr, "/debug/traces");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+
+    let doc = parse(&body).expect("traces JSON");
+    let Some(Json::Arr(traces)) = doc.get("traces") else {
+        panic!("no traces in {body}");
+    };
+    let mut waits: Vec<f64> = traces
+        .iter()
+        .filter(|t| t.get("path").and_then(Json::as_str) == Some("/score"))
+        .flat_map(|t| match t.get("stages") {
+            Some(Json::Arr(stages)) => stages.clone(),
+            _ => Vec::new(),
+        })
+        .filter(|s| s.get("name").and_then(Json::as_str) == Some("serve.queue.wait"))
+        .filter_map(|s| s.get("dur_us").and_then(Json::as_f64))
+        .collect();
+    assert_eq!(waits.len(), 20, "one queue wait per request: {body}");
+    waits.sort_by(f64::total_cmp);
+    let median = (waits[9] + waits[10]) / 2.0;
+    assert!(
+        median < 1000.0,
+        "median queue wait {median} µs for a lone request (waits {waits:?})"
+    );
+}
